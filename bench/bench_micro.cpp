@@ -747,7 +747,8 @@ SessionThroughputStats measure_session_throughput(std::size_t sessions,
         ids.push_back(
             svc.open(core::LynceusOptimizer(per).make_stepper(problem, 5)));
       } else {
-        ids.push_back(svc.open_lynceus(problem, per, 5));
+        ids.push_back(
+            svc.open_session(service::SessionSpec::lynceus(problem, per, 5)));
       }
     }
     eval::AsyncTableRunner async(ds);
@@ -797,7 +798,8 @@ SessionThroughputStats measure_session_scaling(std::size_t sessions,
     service::TuningService svc(sopts);
     std::vector<service::SessionId> ids;
     for (std::size_t s = 0; s < sessions; ++s) {
-      ids.push_back(svc.open_lynceus(problem, opts, s + 1));
+      ids.push_back(svc.open_session(
+          service::SessionSpec::lynceus(problem, opts, s + 1)));
     }
     eval::AsyncTableRunner async(ds);
     const auto t0 = std::chrono::steady_clock::now();

@@ -2,22 +2,21 @@
 /// TuningService::run_throughput — the MPMC worker-pool scheduler behind
 /// the "Throughput mode" contract in tuning_service.hpp.
 ///
-/// Shape: one lock-free MPMC queue of session ids; a task in the queue
-/// means "advance this session" and confers exclusive ownership of its
-/// Session state on whichever worker pops it (at most one task per session
-/// exists at any moment, so Session needs no lock). The only state shared
-/// with the completion-delivery thread is a small per-session Slot — the
-/// buffered wave of completed results and the count of runs still awaited
-/// — guarded by a per-slot mutex. When the delivery thread resolves a
-/// session's last awaited run it re-queues the session; the worker that
-/// pops it applies the whole wave in canonical ask order (run policy first
-/// — retries, streaks, quarantine — then the stepper tells), journals
-/// once, and submits the next batch.
+/// Shape: one lock-free MPMC queue of session ids, seeded with the ready
+/// queue; a task in the queue means "step this session" and confers
+/// exclusive ownership of its Session on whichever worker pops it (at most
+/// one task per session exists at any moment, so Session needs no lock).
+/// The worker runs the same step as next_runs() — apply the completed
+/// wave, journal, ask — and submits the runs it returns to the pump. The
+/// delivery thread buffers each completion as a told result of its
+/// session's wave and re-queues the session when the wave's last run
+/// resolves.
 ///
-/// Lock ordering: the delivery callback runs under the pump lock and
-/// takes a slot lock inside it (pump → slot); workers take a slot lock or
-/// the pump lock but never one inside the other, so no cycle exists.
-/// Queue pushes are lock-free and safe under any of them.
+/// Handoff: a step writes the session's new wave before its first pump
+/// submit, and delivery runs under the pump lock that submit takes, so
+/// every delivery sees the step's writes; the queue push after the last
+/// delivery publishes the told results to the next worker. Workers touch
+/// no Session once they start submitting.
 ///
 /// Termination: an atomic count of unfinished sessions reaches zero, or —
 /// when un-capped hangs leave runs outstanding forever — a worker proves
@@ -29,13 +28,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstddef>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "service/tuning_service.hpp"
@@ -43,72 +40,25 @@
 
 namespace lynceus::service {
 
-namespace {
-
-/// One run to hand to the pump: a fresh launch (delay 0) or a retry
-/// carrying its backoff delay.
-struct SubmitSpec {
-  core::ConfigId config = 0;
-  std::uint64_t attempt = 0;
-  double start_delay = 0.0;
-};
-
-/// Per-session state shared between the delivery thread and the owning
-/// worker. Everything else about a session is touched only by its owner.
-struct Slot {
-  std::mutex mutex;  ///< guards wave + awaited
-  std::vector<std::pair<core::ConfigId, core::RunResult>> wave;
-  std::size_t awaited = 0;  ///< submitted runs not yet resolved
-  /// Queued retries carried over from restored journal envelopes,
-  /// consumed by the session's first advance (single-threaded prologue
-  /// fills it; no lock needed).
-  std::vector<SubmitSpec> initial_retries;
-  bool live = false;  ///< participates in this run
-};
-
-}  // namespace
-
 void TuningService::run_throughput(eval::AsyncTableRunner& runner) {
   const std::size_t workers = options_.throughput_workers;
   if (workers == 0) {
     throw std::logic_error(
         "TuningService::run_throughput: Options::throughput_workers is 0");
   }
+  const auto live = static_cast<std::size_t>(
+      std::count_if(sessions_.begin(), sessions_.end(), [](const Session& s) {
+        return !s.closed && !s.stepper->finished();
+      }));
+  if (live == 0) return;
 
-  // ---- single-threaded prologue: fold FIFO service state into slots ----
-  const std::size_t n = sessions_.size();
-  std::vector<Slot> slots(n);
-  std::size_t live_sessions = 0;
-  for (SessionId id = 0; id < n; ++id) {
-    Session& s = sessions_[id];
-    s.queued = false;
-    in_flight_total_ -= s.in_flight;
-    s.in_flight = 0;
-    if (s.closed || s.quarantined || s.stepper->finished()) continue;
-    s.retry_pending.clear();
-    slots[id].live = true;
-    ++live_sessions;
-  }
-  ready_.clear();
-  // Retries queued by a restored envelope are relaunched by the session's
-  // first advance, keeping their saved attempt numbers (and hence fault
-  // draws) and backoff delays.
-  for (const RetryRun& r : retry_queue_) {
-    if (r.session < n && slots[r.session].live) {
-      slots[r.session].initial_retries.push_back(
-          SubmitSpec{r.config, r.attempt, r.start_delay});
-    }
-  }
-  retry_queue_.clear();
-  if (live_sessions == 0) return;
-
-  // At most one task per live session exists at any moment, so this can
-  // never fill; the slack keeps the seed loop from ever spinning.
+  // At most one task per session exists at any moment, so this can never
+  // fill; the slack keeps the seed loop from ever spinning.
   util::MpmcQueue<SessionId> queue(
-      std::max<std::size_t>(live_sessions + workers + 16, 64));
-  std::atomic<std::size_t> sessions_remaining{live_sessions};
-  /// Tasks queued or currently being advanced: incremented before a push,
-  /// decremented after the advance completes, so tasks_live == 0 means no
+      std::max<std::size_t>(live + workers + 16, 64));
+  std::atomic<std::size_t> sessions_remaining{live};
+  /// Tasks queued or currently being stepped: incremented before a push,
+  /// decremented after the step completes, so tasks_live == 0 means no
   /// worker holds any session and nothing is queued.
   std::atomic<std::size_t> tasks_live{0};
   std::atomic<bool> done{false};
@@ -116,6 +66,7 @@ void TuningService::run_throughput(eval::AsyncTableRunner& runner) {
   std::exception_ptr first_error;
 
   const auto push_task = [&](SessionId id) {
+    tasks_live.fetch_add(1, std::memory_order_relaxed);
     util::Backoff backoff;
     while (!queue.try_push(id)) {
       if (done.load(std::memory_order_acquire)) return;
@@ -125,148 +76,31 @@ void TuningService::run_throughput(eval::AsyncTableRunner& runner) {
 
   eval::AsyncCompletionPump pump(
       runner, [&](const eval::AsyncTableRunner::Completion& c) {
-        Slot& slot = slots[c.tag];
-        std::lock_guard<std::mutex> lk(slot.mutex);
-        slot.wave.emplace_back(c.config, c.result);
-        if (--slot.awaited == 0) {
-          // The wave is complete: hand the session back to the workers.
-          tasks_live.fetch_add(1, std::memory_order_relaxed);
+        Session& s = sessions_[c.tag];
+        s.told.emplace_back(c.config, c.result);
+        if (s.told.size() == s.wave.size()) {
           push_task(static_cast<SessionId>(c.tag));
         }
       });
 
-  // Advance one session: apply its completed wave (if any) in canonical
-  // ask order, then submit whatever it is owed next. The caller's task
-  // confers exclusive ownership of sessions_[id].
-  const auto advance = [&](SessionId id) {
-    Session& s = sessions_[id];
-    Slot& slot = slots[id];
-    std::vector<std::pair<core::ConfigId, core::RunResult>> wave;
-    {
-      // awaited == 0 here, so no delivery can race this handoff.
-      std::lock_guard<std::mutex> lk(slot.mutex);
-      wave.swap(slot.wave);
-    }
-    std::vector<SubmitSpec> submits = std::move(slot.initial_retries);
-    slot.initial_retries.clear();
-
-    const RunPolicy& policy = s.policy;
-    const bool had_wave = !wave.empty();
-    if (had_wave) {
-      // Canonical-order application: iterate the stepper's outstanding
-      // list (ask order), not arrival order — the bit-pinning half of the
-      // throughput-mode contract.
-      const std::vector<core::ConfigId> canonical =
-          s.stepper->outstanding_configs();
-      for (core::ConfigId config : canonical) {
-        const auto it = std::find_if(
-            wave.begin(), wave.end(),
-            [config](const std::pair<core::ConfigId, core::RunResult>& e) {
-              return e.first == config;
-            });
-        if (it == wave.end()) continue;
-        const core::RunResult& result = it->second;
-        const std::uint64_t attempts_used = ++s.attempts[config];
-        if (result.failed()) {
-          ++s.consecutive_failures;
-          if (policy.quarantine_after > 0 &&
-              s.consecutive_failures >= policy.quarantine_after) {
-            s.stepper->abort("runner_failed");
-            s.quarantined = true;
-            s.retry_pending.clear();
-            break;  // the wave's remaining results drop, like late tells
-          }
-          if (attempts_used < policy.max_attempts) {
-            SubmitSpec retry;
-            retry.config = config;
-            retry.attempt = attempts_used;
-            retry.start_delay =
-                policy.backoff_base_seconds *
-                std::pow(policy.backoff_multiplier,
-                         static_cast<double>(attempts_used - 1));
-            submits.push_back(retry);
-            continue;  // the run stays owed; the stepper hears nothing yet
-          }
-          // Attempts exhausted: the stepper records the failure.
-        } else if (result.ok()) {
-          s.consecutive_failures = 0;
-        }
-        s.stepper->tell(config, result);
-      }
-      journal(id);
-      if (s.quarantined) {
-        sessions_remaining.fetch_sub(1, std::memory_order_relaxed);
-        return;
-      }
-    }
-
-    if (submits.empty()) {
-      if (!s.stepper->finished() && s.stepper->outstanding_configs().empty()) {
-        (void)s.stepper->ask();
-      }
-      if (s.stepper->finished()) {
-        sessions_remaining.fetch_sub(1, std::memory_order_relaxed);
-        return;
-      }
-      for (core::ConfigId config : s.stepper->outstanding_configs()) {
-        SubmitSpec spec;
-        spec.config = config;
-        // Tell-time attempt counting, as in the FIFO sweep: the count
-        // equals results received, so a relaunch after crash restore
-        // reuses the lost run's attempt number and replays its fault draw.
-        const auto it = s.attempts.find(config);
-        spec.attempt = it == s.attempts.end() ? 0 : it->second;
-        submits.push_back(spec);
-      }
-    } else if (!had_wave) {
-      // First advance of a session restored mid-batch with queued retries:
-      // the rest of the outstanding batch is owed a relaunch too.
-      for (core::ConfigId config : s.stepper->outstanding_configs()) {
-        const bool retried = std::any_of(
-            submits.begin(), submits.end(),
-            [config](const SubmitSpec& r) { return r.config == config; });
-        if (retried) continue;
-        SubmitSpec spec;
-        spec.config = config;
-        const auto it = s.attempts.find(config);
-        spec.attempt = it == s.attempts.end() ? 0 : it->second;
-        submits.push_back(spec);
-      }
-    }
-    if (submits.empty()) {
-      // Defensive: a stepper that asks nothing yet is not finished would
-      // otherwise spin the scheduler forever.
-      sessions_remaining.fetch_sub(1, std::memory_order_relaxed);
-      return;
-    }
-
-    const double timeout = effective_timeout(s);
-    {
-      // Count the whole batch as awaited *before* any submission: a run
-      // may resolve (and deliver) while its batch-mates are still being
-      // submitted.
-      std::lock_guard<std::mutex> lk(slot.mutex);
-      slot.awaited += submits.size();
-    }
-    for (const SubmitSpec& spec : submits) {
-      eval::AsyncTableRunner::SubmitOptions opts;
-      opts.timeout_seconds = timeout;
-      opts.attempt = spec.attempt;
-      opts.start_delay = spec.start_delay;
-      pump.submit(id, spec.config, opts);
-    }
-    // No Session access past this point: the batch's last delivery may
-    // already have re-queued the session for another worker.
-  };
-
   const auto worker_loop = [&]() {
     util::Backoff backoff;
+    std::vector<PendingRun> runs;  // reused across steps
     SessionId id = 0;
     while (!done.load(std::memory_order_acquire)) {
       if (queue.try_pop(id)) {
         backoff.reset();
         try {
-          advance(id);
+          runs.clear();
+          step(id, runs);
+          if (runs.empty()) {
+            // Finished or quarantined (or, defensively, a stepper that
+            // asks nothing yet is not finished).
+            sessions_remaining.fetch_sub(1, std::memory_order_relaxed);
+          }
+          for (const PendingRun& run : runs) {
+            pump.submit(id, run.config, run.submit_options());
+          }
         } catch (...) {
           {
             std::lock_guard<std::mutex> lk(error_mutex);
@@ -294,28 +128,16 @@ void TuningService::run_throughput(eval::AsyncTableRunner& runner) {
     }
   };
 
-  // Seed one task per live session, then let the pool run.
-  for (SessionId id = 0; id < n; ++id) {
-    if (!slots[id].live) continue;
-    tasks_live.fetch_add(1, std::memory_order_relaxed);
-    push_task(id);
+  for (const SessionId id : ready_) {
+    sessions_[id].queued = false;
+    if (!sessions_[id].closed) push_task(id);
   }
+  ready_.clear();
   std::vector<std::thread> pool;
   pool.reserve(workers);
   for (std::size_t i = 0; i < workers; ++i) pool.emplace_back(worker_loop);
   for (std::thread& t : pool) t.join();
   pump.stop();
-
-  // ---- single-threaded epilogue: restore FIFO-visible bookkeeping ----
-  in_flight_total_ = 0;
-  for (SessionId id = 0; id < n; ++id) {
-    if (!slots[id].live) continue;
-    Session& s = sessions_[id];
-    // Runs never resolved (hung forever, or abandoned on error) stay
-    // counted in flight, mirroring what drain() leaves behind.
-    s.in_flight = s.quarantined ? 0 : slots[id].awaited;
-    in_flight_total_ += s.in_flight;
-  }
   if (first_error) std::rethrow_exception(first_error);
 }
 

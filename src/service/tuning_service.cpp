@@ -54,16 +54,12 @@ const TuningService::Session& TuningService::session_at(SessionId id) const {
   return sessions_[id];
 }
 
-SessionId TuningService::register_session(
-    std::unique_ptr<core::OptimizerStepper> stepper) {
-  if (stepper == nullptr) {
-    throw std::invalid_argument("TuningService: null stepper");
-  }
-  Session s;
-  s.stepper = std::move(stepper);
-  s.policy = options_.run_policy;
+SessionId TuningService::admit(Session s) {
   sessions_.push_back(std::move(s));
-  return sessions_.size() - 1;
+  const SessionId id = sessions_.size() - 1;
+  enqueue_ready(id);
+  journal(id);
+  return id;
 }
 
 void TuningService::enqueue_ready(SessionId id) {
@@ -89,10 +85,13 @@ void TuningService::journal(SessionId id) {
 
 SessionId TuningService::open(
     std::unique_ptr<core::OptimizerStepper> stepper) {
-  const SessionId id = register_session(std::move(stepper));
-  enqueue_ready(id);
-  journal(id);
-  return id;
+  if (stepper == nullptr) {
+    throw std::invalid_argument("TuningService: null stepper");
+  }
+  Session s;
+  s.stepper = std::move(stepper);
+  s.policy = options_.run_policy;
+  return admit(std::move(s));
 }
 
 SessionId TuningService::open_session(const SessionSpec& spec) {
@@ -113,181 +112,116 @@ SessionId TuningService::restore_session(const SessionSpec& spec,
   return id;
 }
 
-SessionId TuningService::open_lynceus(const core::OptimizationProblem& problem,
-                                      core::LynceusOptions options,
-                                      std::uint64_t seed) {
-  return open_session(SessionSpec::lynceus(problem, options, seed));
-}
-
-SessionId TuningService::open_multi_constraint(
-    const core::OptimizationProblem& problem,
-    std::vector<core::ConstraintDef> constraints,
-    core::MultiConstraintOptions options, std::uint64_t seed) {
-  return open_session(
-      SessionSpec::multi_constraint(problem, constraints, options, seed));
-}
-
-SessionId TuningService::open_bo(const core::OptimizationProblem& problem,
-                                 core::BoOptions options,
-                                 std::uint64_t seed) {
-  return open_session(SessionSpec::bo(problem, options, seed));
-}
-
-SessionId TuningService::open_random(const core::OptimizationProblem& problem,
-                                     std::uint64_t seed) {
-  return open_session(SessionSpec::random(problem, seed));
-}
-
 std::vector<PendingRun> TuningService::next_runs(std::size_t max_runs) {
   std::vector<PendingRun> out;
-  // Queued retries first (their runs are already accounted in_flight —
-  // the failed attempt never decremented it). The retry_pending flags of
-  // the emitted retries are cleared only after the ready sweep below: a
-  // session restored mid-batch sits in the ready queue with its retry
-  // still queued, and the sweep must keep skipping the retried config or
-  // it would be emitted twice.
-  std::vector<std::pair<SessionId, core::ConfigId>> emitted_retries;
-  while (!retry_queue_.empty() && out.size() < max_runs) {
-    const RetryRun r = retry_queue_.front();
-    Session& s = sessions_[r.session];
-    if (s.closed || s.quarantined) {
-      // Defensive: quarantine/close purge the queue eagerly.
-      retry_queue_.pop_front();
-      continue;
-    }
-    retry_queue_.pop_front();
-    emitted_retries.emplace_back(r.session, r.config);
-    PendingRun run;
-    run.session = r.session;
-    run.config = r.config;
-    run.attempt = r.attempt;
-    run.timeout_seconds = effective_timeout(s);
-    run.start_delay = r.start_delay;
-    out.push_back(run);
-  }
-  // One sweep over the sessions currently ready; sessions that finish emit
-  // nothing, sessions that ask emit their batch and wait for tell()s.
-  std::size_t remaining = ready_.size();
-  while (remaining-- > 0 && out.size() < max_runs) {
+  while (!ready_.empty() && out.size() < max_runs) {
     const SessionId id = ready_.front();
     ready_.pop_front();
-    Session& s = sessions_[id];
-    s.queued = false;
-    if (s.closed || s.stepper->finished()) continue;
-    const core::StepAction& action = s.stepper->ask();
-    if (action.kind == core::StepAction::Kind::Finished) continue;
-    // outstanding_configs(), not action.configs: a session restored from a
-    // mid-batch snapshot already holds some of the batch's results. Configs
-    // whose retry is queued (possible after restoring a journal envelope)
-    // are emitted by the retry loop above, not re-launched here — but they
-    // still count as in flight.
-    const std::vector<core::ConfigId> todo = s.stepper->outstanding_configs();
-    const double timeout = effective_timeout(s);
-    for (core::ConfigId config : todo) {
-      if (s.retry_pending.count(config) != 0) continue;
-      PendingRun run;
-      run.session = id;
-      run.config = config;
-      // Tell-time attempt counting: the count equals results received, so
-      // a relaunch after crash restore reuses the lost run's attempt
-      // number and replays its fault draw.
-      const auto it = s.attempts.find(config);
-      run.attempt = it == s.attempts.end() ? 0 : it->second;
-      run.timeout_seconds = timeout;
-      out.push_back(run);
-    }
-    // Everything outstanding — including retry-pending configs — is now in
-    // flight. A freshly opened session entered the sweep with in_flight 0;
-    // a session restored mid-batch entered with its outstanding runs
-    // already counted, so adjust by the difference.
-    in_flight_total_ -= s.in_flight;
-    s.in_flight = todo.size();
-    in_flight_total_ += s.in_flight;
-  }
-  for (const auto& [session, config] : emitted_retries) {
-    sessions_[session].retry_pending.erase(config);
+    sessions_[id].queued = false;
+    // A queued entry for a closed session is skipped.
+    if (!sessions_[id].closed) step(id, out);
   }
   return out;
+}
+
+void TuningService::step(SessionId id, std::vector<PendingRun>& out) {
+  Session& s = sessions_[id];
+  if (!s.told.empty()) {
+    const RunPolicy& policy = s.policy;
+    s.retries.clear();
+    // Canonical order: the wave's (ask order), not arrival order, so the
+    // outcome cannot depend on who told what when.
+    for (core::ConfigId config : s.wave) {
+      const auto it = std::find_if(
+          s.told.begin(), s.told.end(),
+          [config](const std::pair<core::ConfigId, core::RunResult>& e) {
+            return e.first == config;
+          });
+      const core::RunResult& result = it->second;
+      const std::uint64_t attempts_used = ++s.attempts[config];
+      if (result.failed()) {
+        ++s.consecutive_failures;
+        if (policy.quarantine_after > 0 &&
+            s.consecutive_failures >= policy.quarantine_after) {
+          s.stepper->abort("runner_failed");
+          s.quarantined = true;
+          s.retries.clear();
+          break;  // the rest of the wave is dropped
+        }
+        if (attempts_used < policy.max_attempts) {
+          // The run stays outstanding; the stepper hears nothing yet.
+          s.retries.emplace_back(
+              config, policy.backoff_base_seconds *
+                          std::pow(policy.backoff_multiplier,
+                                   static_cast<double>(attempts_used - 1)));
+          continue;
+        }
+        // Attempts exhausted: the stepper records the failure.
+      } else if (result.ok()) {
+        s.consecutive_failures = 0;
+      }
+      s.stepper->tell(config, result);
+    }
+    s.told.clear();
+    journal(id);
+  }
+  s.wave.clear();
+  if (s.stepper->finished() ||
+      s.stepper->ask().kind == core::StepAction::Kind::Finished) {
+    return;
+  }
+  // Everything outstanding is owed a launch: the asked batch, the wave's
+  // retries, or — after a restore — the runs lost with the old process.
+  const double timeout = effective_timeout(s);
+  for (core::ConfigId config : s.stepper->outstanding_configs()) {
+    PendingRun run;
+    run.session = id;
+    run.config = config;
+    // Attempts count applied results, so a relaunch after a crash restore
+    // reuses the lost run's attempt number and replays its fault draw.
+    const auto it = s.attempts.find(config);
+    run.attempt = it == s.attempts.end() ? 0 : it->second;
+    run.timeout_seconds = timeout;
+    for (const auto& [retried, delay] : s.retries) {
+      if (retried == config) run.start_delay = delay;
+    }
+    out.push_back(run);
+    s.wave.push_back(config);
+  }
 }
 
 void TuningService::tell(SessionId session, core::ConfigId config,
                          const core::RunResult& result) {
   Session& s = session_at(session);
-  // Late completion of a run that was in flight when the session was
-  // quarantined: dropped, so drain loops reach idle.
+  // A quarantined session has nothing in flight; stray tells are dropped.
   if (s.quarantined) return;
-  if (s.in_flight == 0) {
+  if (s.told.size() == s.wave.size()) {
     throw std::invalid_argument(
         "TuningService::tell: session " + std::to_string(session) +
         " has no run in flight");
   }
-  // Validate before mutating anything (strong exception guarantee): the
-  // config must be an untold batch member whose retry is not still queued.
-  if (s.retry_pending.count(config) != 0) {
-    throw std::invalid_argument(
-        "TuningService::tell: configuration " + std::to_string(config) +
-        " of session " + std::to_string(session) +
-        " is awaiting its retry, no result is due");
-  }
-  const std::vector<core::ConfigId> outstanding =
-      s.stepper->outstanding_configs();
-  if (std::find(outstanding.begin(), outstanding.end(), config) ==
-      outstanding.end()) {
+  // Validate before mutating anything (strong exception guarantee).
+  const bool told = std::any_of(
+      s.told.begin(), s.told.end(),
+      [config](const std::pair<core::ConfigId, core::RunResult>& e) {
+        return e.first == config;
+      });
+  if (told ||
+      std::find(s.wave.begin(), s.wave.end(), config) == s.wave.end()) {
     throw std::invalid_argument(
         "TuningService::tell: configuration " + std::to_string(config) +
         " is not an untold outstanding run of session " +
         std::to_string(session));
   }
-
-  const RunPolicy& policy = s.policy;
-  const std::uint64_t attempts_used = ++s.attempts[config];
-  if (result.failed()) {
-    ++s.consecutive_failures;
-    if (policy.quarantine_after > 0 &&
-        s.consecutive_failures >= policy.quarantine_after) {
-      quarantine(session);
-      journal(session);
-      return;
-    }
-    if (attempts_used < policy.max_attempts) {
-      // Retry instead of telling the stepper: the run stays in flight.
-      RetryRun retry;
-      retry.session = session;
-      retry.config = config;
-      retry.attempt = attempts_used;
-      retry.start_delay =
-          policy.backoff_base_seconds *
-          std::pow(policy.backoff_multiplier,
-                   static_cast<double>(attempts_used - 1));
-      retry_queue_.push_back(retry);
-      s.retry_pending.insert(config);
-      journal(session);
-      return;
-    }
-    // Attempts exhausted: the stepper records the failure.
-  } else if (result.ok()) {
-    s.consecutive_failures = 0;
-  }
-  s.stepper->tell(config, result);
-  --s.in_flight;
-  --in_flight_total_;
-  // The batch is complete once the stepper holds nothing outstanding;
-  // the session then re-enters the FIFO ready queue.
-  if (s.in_flight == 0) enqueue_ready(session);
-  journal(session);
+  s.told.emplace_back(config, result);
+  if (s.told.size() == s.wave.size()) enqueue_ready(session);
 }
 
-void TuningService::quarantine(SessionId id) {
-  Session& s = sessions_[id];
-  s.stepper->abort("runner_failed");
-  s.quarantined = true;
-  in_flight_total_ -= s.in_flight;
-  s.in_flight = 0;
-  s.retry_pending.clear();
-  retry_queue_.erase(
-      std::remove_if(retry_queue_.begin(), retry_queue_.end(),
-                     [id](const RetryRun& r) { return r.session == id; }),
-      retry_queue_.end());
+bool TuningService::idle() const noexcept {
+  return ready_.empty() &&
+         std::none_of(sessions_.begin(), sessions_.end(), [](const Session& s) {
+           return s.told.size() < s.wave.size();
+         });
 }
 
 bool TuningService::quarantined(SessionId session) const {
@@ -323,18 +257,9 @@ const core::OptimizerStepper& TuningService::stepper(
 
 void TuningService::close(SessionId session) {
   Session& s = session_at(session);
-  in_flight_total_ -= s.in_flight;
-  s.in_flight = 0;
+  s = Session{};
   s.closed = true;
-  s.stepper.reset();
-  s.retry_pending.clear();
-  retry_queue_.erase(
-      std::remove_if(
-          retry_queue_.begin(), retry_queue_.end(),
-          [session](const RetryRun& r) { return r.session == session; }),
-      retry_queue_.end());
   ++closed_count_;
-  // A queued entry for a closed session is skipped by next_runs().
 }
 
 std::string TuningService::snapshot(SessionId session) const {
@@ -365,12 +290,11 @@ std::string TuningService::snapshot_session(SessionId session) const {
   }
   w.end_array();
   w.key("retries").begin_array();
-  for (const RetryRun& r : retry_queue_) {
-    if (r.session != session) continue;
+  for (const auto& [config, delay] : s.retries) {
     w.begin_object();
-    w.key("config").value(static_cast<std::uint64_t>(r.config));
-    w.key("attempt").value(r.attempt);
-    w.key("delay").value_exact(r.start_delay);
+    w.key("config").value(static_cast<std::uint64_t>(config));
+    w.key("attempt").value(s.attempts.at(config));
+    w.key("delay").value_exact(delay);
     w.end_object();
   }
   w.end_array();
@@ -386,57 +310,60 @@ SessionId TuningService::restore(
   if (stepper == nullptr) {
     throw std::invalid_argument("TuningService: null stepper");
   }
+  Session s;
+  s.policy = options_.run_policy;
   const util::JsonValue v = util::parse_json(snapshot_json);
   const util::JsonValue* format = v.find("format");
-  if (format != nullptr &&
-      format->type() == util::JsonValue::Type::String &&
-      format->as_string() == "lynceus-service-session") {
-    if (v.at("version").as_int() != 1) {
-      throw std::runtime_error(
-          "TuningService::restore: unsupported service-session version");
-    }
-    stepper->restore(v.at("stepper").as_string());
-    const SessionId id = register_session(std::move(stepper));
-    Session& s = sessions_[id];
-    const util::JsonValue& policy = v.at("policy");
-    s.consecutive_failures =
-        static_cast<std::size_t>(policy.at("consecutive_failures").as_uint());
-    s.quarantined = policy.at("quarantined").as_bool();
-    for (const util::JsonValue& a : policy.at("attempts").items()) {
-      s.attempts[static_cast<core::ConfigId>(a.at("config").as_uint())] =
-          a.at("count").as_uint();
-    }
-    for (const util::JsonValue& r : policy.at("retries").items()) {
-      RetryRun retry;
-      retry.session = id;
-      retry.config = static_cast<core::ConfigId>(r.at("config").as_uint());
-      retry.attempt = r.at("attempt").as_uint();
-      retry.start_delay = r.at("delay").as_double();
-      retry_queue_.push_back(retry);
-      s.retry_pending.insert(retry.config);
-    }
-    // Runs in flight at the crash (retry-pending ones included) are still
-    // owed a result: count them so a tell() or a retry emission arriving
-    // before the first ready sweep finds consistent accounting. The sweep
-    // re-launches the lost ones and keeps the count.
-    s.in_flight = s.stepper->outstanding_configs().size();
-    in_flight_total_ += s.in_flight;
-    enqueue_ready(id);
-    journal(id);
-    return id;
+  if (format == nullptr || format->type() != util::JsonValue::Type::String ||
+      format->as_string() != "lynceus-service-session") {
+    stepper->restore(snapshot_json);
+    s.stepper = std::move(stepper);
+    return admit(std::move(s));
   }
-  stepper->restore(snapshot_json);
-  const SessionId id = register_session(std::move(stepper));
-  enqueue_ready(id);
-  journal(id);
-  return id;
-}
-
-SessionId TuningService::restore_lynceus(
-    const core::OptimizationProblem& problem, core::LynceusOptions options,
-    std::uint64_t seed, const std::string& snapshot_json) {
-  return restore_session(SessionSpec::lynceus(problem, options, seed),
-                         snapshot_json);
+  if (v.at("version").as_int() != 1) {
+    throw std::runtime_error(
+        "TuningService::restore: unsupported service-session version");
+  }
+  stepper->restore(v.at("stepper").as_string());
+  const util::JsonValue& policy = v.at("policy");
+  s.consecutive_failures =
+      static_cast<std::size_t>(policy.at("consecutive_failures").as_uint());
+  s.quarantined = policy.at("quarantined").as_bool();
+  if (s.quarantined && !stepper->finished()) {
+    throw std::runtime_error(
+        "TuningService::restore: quarantined session with an unfinished "
+        "stepper");
+  }
+  for (const util::JsonValue& a : policy.at("attempts").items()) {
+    s.attempts[static_cast<core::ConfigId>(a.at("config").as_uint())] =
+        a.at("count").as_uint();
+  }
+  const std::vector<core::ConfigId> outstanding =
+      stepper->outstanding_configs();
+  for (const util::JsonValue& r : policy.at("retries").items()) {
+    const auto config = static_cast<core::ConfigId>(r.at("config").as_uint());
+    const bool listed = std::any_of(
+        s.retries.begin(), s.retries.end(),
+        [config](const std::pair<core::ConfigId, double>& e) {
+          return e.first == config;
+        });
+    if (listed || std::find(outstanding.begin(), outstanding.end(),
+                            config) == outstanding.end()) {
+      throw std::runtime_error(
+          "TuningService::restore: retry of configuration " +
+          std::to_string(config) + " is not a distinct outstanding run");
+    }
+    const auto count = s.attempts.find(config);
+    if (count == s.attempts.end() ||
+        r.at("attempt").as_uint() != count->second) {
+      throw std::runtime_error(
+          "TuningService::restore: retry attempt of configuration " +
+          std::to_string(config) + " is not its saved attempt count");
+    }
+    s.retries.emplace_back(config, r.at("delay").as_double());
+  }
+  s.stepper = std::move(stepper);
+  return admit(std::move(s));
 }
 
 void drain(TuningService& service, eval::AsyncTableRunner& runner) {
@@ -446,11 +373,7 @@ void drain(TuningService& service, eval::AsyncTableRunner& runner) {
   }
   while (true) {
     for (const PendingRun& run : service.next_runs()) {
-      eval::AsyncTableRunner::SubmitOptions opts;
-      opts.timeout_seconds = run.timeout_seconds;
-      opts.attempt = run.attempt;
-      opts.start_delay = run.start_delay;
-      runner.submit(run.session, run.config, opts);
+      runner.submit(run.session, run.config, run.submit_options());
     }
     const auto completion = runner.next_completion();
     if (!completion.has_value()) return;

@@ -14,44 +14,50 @@
 ///
 ///   * `open_session(spec)` starts a session from one declarative
 ///     `SessionSpec` (service/session_spec.hpp: optimizer kind — Lynceus,
-///     multi-constraint, BO or RND — problem, knobs, run policy, seed; the
-///     legacy `open_*` overloads are one-line shims building a spec),
-///     injecting the service's shared resources: one
-///     `util::ThreadPool` fanning out every session's root simulations,
-///     and optionally one shared `core::RootCache`, so recurrent sessions
-///     of the same job warm-start each other's root fits across the whole
-///     service. Per-session observers and budgets ride in unchanged
-///     through the optimizer options / the problem.
-///   * `next_runs()` drains the ready queue: it ask()s every session with
-///     no outstanding runs, in deterministic round-robin order (see
-///     below), and returns the profiling runs to launch.
-///   * `tell()` routes one completed run back to its session; when that
-///     session's outstanding batch completes it re-enters the ready
-///     queue.
+///     multi-constraint, BO or RND — problem, knobs, run policy, seed),
+///     injecting the service's shared resources: one `util::ThreadPool`
+///     fanning out every session's root simulations, and optionally one
+///     shared `core::RootCache`, so recurrent sessions of the same job
+///     warm-start each other's root fits across the whole service.
+///     Per-session observers and budgets ride in unchanged through the
+///     optimizer options / the problem.
+///   * `tell()` buffers the result of one run of its session's *wave*
+///     (the runs the session's last step launched); when the wave's last
+///     result lands, the session enters the ready queue.
+///   * `next_runs()` drains the ready queue: it *steps* every ready
+///     session, in deterministic round-robin order (see below), and
+///     returns the profiling runs to launch.
+///
+/// A session step is the one place the run policy lives (both schedulers
+/// call it): it applies the session's completed wave, journals, asks the
+/// stepper when nothing is outstanding, and hands out the runs the session
+/// is owed next.
 ///
 /// ## Scheduling determinism
 ///
 /// The ready queue is FIFO: sessions enter in open() order and re-enter
-/// when their last outstanding tell() lands, so for a given sequence of
-/// open/tell calls, next_runs() output is a pure function of that
-/// sequence — no wall-clock, thread or hash-order dependence. Because
-/// each stepper applies its tell()ed batches in canonical ask() order
-/// (core/stepper.hpp), per-session trajectories are **bit-identical to
-/// the session's solo optimize() run** no matter how many sessions are
-/// multiplexed or how their completions interleave; the shared root cache
-/// cannot perturb this either (exact-key hits return the very doubles a
-/// refit would recompute). tests/test_tuning_service.cpp pins both, up to
-/// 64 interleaved sessions with out-of-order completions.
+/// when their wave completes, so for a given sequence of open/tell calls,
+/// next_runs() output is a pure function of that sequence — no
+/// wall-clock, thread or hash-order dependence. Because a wave is applied
+/// in canonical ask() order (core/stepper.hpp), per-session trajectories
+/// are **bit-identical to the session's solo optimize() run** no matter
+/// how many sessions are multiplexed or in which order their completions
+/// are told; the shared root cache cannot perturb this either (exact-key
+/// hits return the very doubles a refit would recompute).
+/// tests/test_tuning_service.cpp pins both, up to 64 interleaved sessions
+/// with out-of-order completions.
 ///
 /// ## Run policy: retries, timeouts, quarantine
 ///
-/// Real profiling runs fail (core::RunOutcome). The service interposes a
-/// RunPolicy between the runner and the steppers:
+/// Real profiling runs fail (core::RunOutcome). The step interposes the
+/// session's RunPolicy between the runner and the stepper. It walks the
+/// completed wave in canonical ask order, never in arrival order:
 ///
 ///   * a FAILED result is retried up to `max_attempts` total tries, each
 ///     retry delayed by deterministic exponential backoff in *simulated*
 ///     time (PendingRun::start_delay — the driver applies it; no
-///     wall-clock anywhere). The stepper is only told the failure once
+///     wall-clock anywhere). Retries launch at the wave boundary, with
+///     the session's next runs. The stepper is only told the failure once
 ///     attempts are exhausted; an eventual success is told as if the
 ///     failures never happened.
 ///   * every launched run carries a timeout (PendingRun::timeout_seconds):
@@ -59,79 +65,58 @@
 ///     the session's problem — the paper's budget-capping instinct: a run
 ///     that has already exceeded Tmax can never be feasible, so letting it
 ///     keep billing the profiling budget buys nothing beyond the censored
-///     observation, which the cap itself supplies.
+///     observation, which the cap itself supplies. A hung run with no cap
+///     never resolves, so it holds back its wave — retries included.
 ///   * after `quarantine_after` consecutive FAILED results (successes
 ///     reset the streak; timeouts leave it unchanged), the session is
 ///     quarantined: its stepper is aborted with stop_reason
-///     "runner_failed", queued retries are dropped, and late tell()s for
-///     it are silently ignored so a drain loop reaches idle.
+///     "runner_failed", the rest of the wave is dropped, and later tell()s
+///     for it are silently ignored.
 ///
-/// Retry attempt numbers are per (session, config) and monotone: the
-/// fault-injection contract (eval/runner.hpp) keys fault draws by
-/// (config, attempt), so a retried attempt gets fresh draws while replay
-/// of the whole schedule stays byte-deterministic.
+/// Attempt numbers are per (session, config): the count of that config's
+/// applied results. The fault-injection contract (eval/runner.hpp) keys
+/// fault draws by (config, attempt), so a retried attempt gets fresh
+/// draws while replay of the whole schedule stays byte-deterministic —
+/// and so the outcome of a session is the same whichever scheduler steps
+/// it and in whichever order its results are told.
 ///
 /// ## Snapshot / restore and crash safety
 ///
-/// snapshot(session) serializes the session's complete resumable state
-/// (the stepper snapshot of core/stepper.hpp). restore_*() reopens it —
-/// in this process or another — given the same problem, options and
-/// seed; the restored session finishes byte-identically. In-flight runs
-/// at snapshot time are part of the state: results already told are
-/// carried in the snapshot, still-missing ones are simply re-asked
-/// for by next_runs() after restore (the pending batch survives).
-///
-/// snapshot_session(session) wraps the stepper snapshot together with the
-/// run-policy state (attempt counters, failure streak, queued retries,
-/// quarantine flag) in a "lynceus-service-session" JSON envelope;
-/// restore() accepts either format and re-schedules any saved retries.
-/// With Options::journal set, the service auto-snapshots a session at
-/// open/restore and after every tell() — a crashed process restores every
-/// session from its last journal entry and, because per-session
-/// trajectories are interleaving-independent and fault draws are keyed by
-/// (config, attempt), finishes each one byte-identically to the
-/// uninterrupted run (the crash-recovery drill in tests/test_faults.cpp).
+/// snapshot(session) serializes the session's stepper (core/stepper.hpp);
+/// snapshot_session(session) wraps it with the run-policy state (attempt
+/// counters, failure streak, pending retries with their backoff delays,
+/// quarantine flag) in a "lynceus-service-session" JSON envelope. Results
+/// buffered in an incomplete wave are not part of either: restore() —
+/// in this process or another, given the same problem, options and seed
+/// — accepts both formats, and the restored session's first step
+/// relaunches every outstanding run with its saved attempt number (and
+/// retry delay). With Options::journal set, the service journals a
+/// session at open/restore and once per applied wave — a crashed process
+/// restores every session from its last journal entry and, because fault
+/// draws are keyed by (config, attempt), finishes each one
+/// byte-identically to the uninterrupted run (the crash-recovery drill in
+/// tests/test_faults.cpp).
 ///
 /// ## Throughput mode (opt-in, Options::throughput_workers > 0)
 ///
 /// The FIFO loop above advances sessions round-robin from one thread: at
 /// 64 sessions every core but one idles. run_throughput() inverts that —
-/// a pool of `throughput_workers` threads pulls *whole session steps*
-/// (apply completed results, ask, submit the next batch) off a lock-free
-/// MPMC run queue (util/mpmc_queue.hpp), completions flow back through an
-/// eval::AsyncCompletionPump delivery thread, and 64+ sessions advance
-/// concurrently. The scheduling contract:
+/// a pool of `throughput_workers` threads pulls session steps off a
+/// lock-free MPMC run queue (util/mpmc_queue.hpp), completions flow back
+/// through an eval::AsyncCompletionPump delivery thread, and 64+ sessions
+/// advance concurrently. It runs the very same step, so:
 ///
-///   * **Per-session trajectories are bit-pinned.** A session's state is
-///     owned exclusively by whichever worker holds its queue task (at most
-///     one task per session exists; the per-slot mutex only hands the
-///     completed wave over from the delivery thread). Completions are
-///     buffered per session and applied in canonical ask() order once the
-///     whole outstanding wave has resolved — so each session's trajectory
-///     is byte-identical to its solo FIFO run, for any worker count,
-///     including under fault injection (fault draws are keyed by
-///     (config, attempt), interleaving-independent).
+///   * **Per-session trajectories are bit-pinned** — byte-identical to
+///     the session's FIFO run, for any worker count, faults and
+///     quarantine included. A session's state is owned by whichever
+///     worker holds its queue task (at most one task per session exists).
 ///   * **Cross-session interleaving is NOT pinned.** Which session's wave
 ///     completes first, runner submission order, simulated finish times
 ///     and total simulated duration all vary run to run. Anything derived
 ///     from global ordering (e.g. AsyncTableRunner::now()) is
 ///     nondeterministic in this mode.
-///   * **Quarantine is wave-canonical.** The failure streak is updated in
-///     canonical ask order at each wave boundary, not in per-arrival
-///     simulated-time order as the FIFO loop does — deterministic for a
-///     given mode, but a streak that FIFO mode trips mid-wave can resolve
-///     differently here. Sessions that quarantine under fail-everything
-///     faults do so identically in both modes; the cross-mode
-///     trajectory-identity suites pin the no-quarantine and
-///     always-quarantine cases.
-///   * **Journal semantics.** With Options::journal set, sessions are
-///     journaled once per applied wave (after its tells) instead of after
-///     every tell, and the callback is invoked from worker threads — it
-///     must be thread-safe (per-session ordering is still serial). A
-///     restored envelope replays byte-identically; the only state not
-///     carried is the backoff start_delay of a not-yet-relaunched retry
-///     (simulated-time scheduling only — attempt numbers, and hence fault
-///     draws, are preserved).
+///   * The journal callback is invoked from worker threads — it must be
+///     thread-safe (per-session ordering is still serial).
 ///   * **Exclusions.** Throughput mode requires the shared RootCache off
 ///     (root_cache_capacity == 0; its LRU mutation order is not
 ///     order-insensitive) and the intra-decision pool off
@@ -149,9 +134,9 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/bo.hpp"
@@ -182,6 +167,15 @@ struct PendingRun {
   double timeout_seconds = std::numeric_limits<double>::infinity();
   /// Retry backoff: start the run this many simulated seconds late.
   double start_delay = 0.0;
+
+  /// The replay runner's submit options carrying this run's policy fields.
+  [[nodiscard]] eval::AsyncTableRunner::SubmitOptions submit_options() const {
+    eval::AsyncTableRunner::SubmitOptions o;
+    o.timeout_seconds = timeout_seconds;
+    o.attempt = attempt;
+    o.start_delay = start_delay;
+    return o;
+  }
 };
 
 // RunPolicy (the failure-handling policy; see the "Run policy" section of
@@ -212,8 +206,8 @@ class TuningService {
     /// does not carry its own (default: inert).
     RunPolicy run_policy;
     /// Crash-safety journal: when set, invoked with (session id,
-    /// snapshot_session(id)) at open/restore and after every tell() —
-    /// persist the string; restore() of the latest entry per session
+    /// snapshot_session(id)) at open/restore and after every applied wave
+    /// — persist the string; restore() of the latest entry per session
     /// resumes the service byte-identically after a crash. The callback
     /// must not call back into the service.
     std::function<void(SessionId, const std::string&)> journal;
@@ -228,8 +222,7 @@ class TuningService {
   /// shared pool/cache into the stepper; `spec.problem` must be set (and
   /// outlive the session) — callers holding only a ProblemRef resolve it
   /// first (the network server does this via its workload registry). The
-  /// CLI, the examples, the wire protocol and the legacy overloads below
-  /// all funnel through here.
+  /// CLI, the examples and the wire protocol all funnel through here.
   SessionId open_session(const SessionSpec& spec);
 
   /// Reopens a snapshot — either a bare stepper snapshot or a
@@ -245,36 +238,21 @@ class TuningService {
   /// stepper must outlive the session.
   SessionId open(std::unique_ptr<core::OptimizerStepper> stepper);
 
-  /// Legacy per-optimizer overloads: one-line shims building a
-  /// SessionSpec for open_session(). Kept so pre-redesign call sites
-  /// compile unchanged; new code should construct the spec directly.
-  SessionId open_lynceus(const core::OptimizationProblem& problem,
-                         core::LynceusOptions options, std::uint64_t seed);
-
-  SessionId open_multi_constraint(const core::OptimizationProblem& problem,
-                                  std::vector<core::ConstraintDef> constraints,
-                                  core::MultiConstraintOptions options,
-                                  std::uint64_t seed);
-
-  SessionId open_bo(const core::OptimizationProblem& problem,
-                    core::BoOptions options, std::uint64_t seed);
-
-  SessionId open_random(const core::OptimizationProblem& problem,
-                        std::uint64_t seed);
-
-  /// Advances every ready session (deterministic round-robin; see file
-  /// comment) and returns the profiling runs to launch. Sessions that
-  /// finish during the sweep emit no runs — query finished()/result().
+  /// Steps every ready session (deterministic round-robin; see file
+  /// comment) and returns the profiling runs to launch: retries of the
+  /// applied wave, or the next asked batch. Sessions that finish or are
+  /// quarantined during the sweep emit no runs — query finished()/result().
   /// `max_runs` caps the sweep (remaining ready sessions stay queued).
   [[nodiscard]] std::vector<PendingRun> next_runs(
       std::size_t max_runs = SIZE_MAX);
 
-  /// Routes one completed run to its session, applying the run policy
-  /// (retry scheduling, failure streaks, quarantine) first. Throws
-  /// std::invalid_argument for an unknown session or a run the session did
-  /// not ask for — with the strong exception guarantee: a throwing tell()
+  /// Buffers one completed run into its session's wave; the run policy
+  /// applies it when the wave completes (next_runs()). Throws
+  /// std::invalid_argument for an unknown session, a session with no run
+  /// in flight, a run the session did not ask for or one already told in
+  /// this wave — with the strong exception guarantee: a throwing tell()
   /// leaves the service state untouched. Tells for a quarantined session
-  /// are silently dropped (late completions of in-flight runs).
+  /// are silently dropped.
   void tell(SessionId session, core::ConfigId config,
             const core::RunResult& result);
 
@@ -294,9 +272,7 @@ class TuningService {
 
   /// True when no session has runs in flight and none is ready to ask —
   /// i.e. next_runs() would return nothing.
-  [[nodiscard]] bool idle() const noexcept {
-    return ready_.empty() && in_flight_total_ == 0;
-  }
+  [[nodiscard]] bool idle() const noexcept;
   [[nodiscard]] std::size_t session_count() const noexcept {
     return sessions_.size() - closed_count_;
   }
@@ -309,21 +285,21 @@ class TuningService {
   [[nodiscard]] std::string snapshot(SessionId session) const;
 
   /// Serializes the session *including its run-policy state* (attempt
-  /// counters, failure streak, queued retries, quarantine flag) in the
+  /// counters, failure streak, pending retries, quarantine flag) in the
   /// "lynceus-service-session" envelope — what the journal emits.
   [[nodiscard]] std::string snapshot_session(SessionId session) const;
 
   /// Reopens a snapshot into a caller-built stepper (restore_session is
   /// preferred). Accepts both a bare stepper snapshot and a
-  /// snapshot_session() envelope (the latter also re-schedules queued
-  /// retries and restores the policy state). The restored session
-  /// re-enters the ready queue unless finished.
+  /// snapshot_session() envelope (the latter also restores the policy
+  /// state and pending retries). Throws std::runtime_error for an envelope
+  /// whose policy state contradicts its stepper: a retry of a config that
+  /// is not outstanding or listed twice, a retry attempt that is not the
+  /// config's saved attempt count, or a quarantined session whose stepper
+  /// is not finished. The restored session re-enters the ready queue
+  /// unless finished.
   SessionId restore(std::unique_ptr<core::OptimizerStepper> stepper,
                     const std::string& snapshot_json);
-  /// Legacy shim over restore_session(), mirroring open_lynceus.
-  SessionId restore_lynceus(const core::OptimizationProblem& problem,
-                            core::LynceusOptions options, std::uint64_t seed,
-                            const std::string& snapshot_json);
 
   /// Drives every open session to completion against `runner` with the
   /// worker pool described under "Throughput mode" in the file comment
@@ -331,9 +307,9 @@ class TuningService {
   /// otherwise). Returns once every session is finished or quarantined —
   /// or, mirroring drain(), once only forever-hung runs remain, leaving
   /// those sessions unfinished with their runs counted in flight.
-  /// Restored sessions are picked up mid-batch (queued retries are
-  /// relaunched with their saved attempt numbers). The runner must be
-  /// untouched by other threads for the duration of the call.
+  /// Every open session takes part: ready ones are stepped at once, the
+  /// others when `runner` delivers the rest of their wave. The runner must
+  /// be untouched by other threads for the duration of the call.
   void run_throughput(eval::AsyncTableRunner& runner);
 
   [[nodiscard]] const Options& options() const noexcept { return options_; }
@@ -353,42 +329,37 @@ class TuningService {
     /// open_session() got one, the service-wide Options::run_policy
     /// otherwise. All retry/timeout/quarantine decisions read this.
     RunPolicy policy;
-    std::size_t in_flight = 0;  ///< runs handed out, not yet told
     bool queued = false;        ///< in ready_
     bool closed = false;
     bool quarantined = false;   ///< run policy gave up on this session
-    /// Results received per config (tell-time increment), so a relaunch
-    /// after crash restore reuses the lost in-flight run's attempt number.
+    /// Applied results per config: the attempt number of its next launch.
     std::unordered_map<core::ConfigId, std::uint64_t> attempts;
     std::size_t consecutive_failures = 0;
-    /// Configs with a retry queued in retry_queue_ (still outstanding in
-    /// the stepper, so a ready-sweep must not re-emit them).
-    std::set<core::ConfigId> retry_pending;
-  };
-
-  /// A retry awaiting emission by next_runs().
-  struct RetryRun {
-    SessionId session = 0;
-    core::ConfigId config = 0;
-    std::uint64_t attempt = 0;
-    double start_delay = 0.0;
+    /// The wave: configs the last step launched, in canonical ask order.
+    std::vector<core::ConfigId> wave;
+    /// Results told for the wave so far, in arrival order.
+    std::vector<std::pair<core::ConfigId, core::RunResult>> told;
+    /// (config, backoff delay) of the runs the last applied wave retries.
+    std::vector<std::pair<core::ConfigId, double>> retries;
   };
 
   Session& session_at(SessionId id);
   [[nodiscard]] const Session& session_at(SessionId id) const;
-  SessionId register_session(std::unique_ptr<core::OptimizerStepper> stepper);
+  /// Registers a session, queues it and journals it.
+  SessionId admit(Session s);
   void enqueue_ready(SessionId id);
   [[nodiscard]] double effective_timeout(const Session& s) const;
-  void quarantine(SessionId id);
+  /// The run-policy step (file comment): applies the completed wave,
+  /// journals, asks if nothing is outstanding and appends the runs the
+  /// session is owed to `out`; they become its new wave.
+  void step(SessionId id, std::vector<PendingRun>& out);
   void journal(SessionId id);
 
   Options options_;
   std::unique_ptr<util::ThreadPool> pool_;
   std::unique_ptr<core::RootCache> cache_;
   std::vector<Session> sessions_;  ///< index = SessionId
-  std::deque<SessionId> ready_;    ///< FIFO of sessions to ask next
-  std::deque<RetryRun> retry_queue_;  ///< retries to emit, FIFO
-  std::size_t in_flight_total_ = 0;
+  std::deque<SessionId> ready_;    ///< FIFO of sessions to step next
   std::size_t closed_count_ = 0;
 };
 

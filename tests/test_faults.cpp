@@ -29,6 +29,7 @@ using core::RunResult;
 using service::PendingRun;
 using service::RunPolicy;
 using service::SessionId;
+using service::SessionSpec;
 using service::TuningService;
 
 core::LynceusOptions fast_lynceus() {
@@ -277,8 +278,23 @@ TEST(RunPolicyTest, ValidatesItsKnobs) {
   EXPECT_THROW(TuningService{bad}, std::invalid_argument);
 }
 
-TEST(RunPolicyTest, RetriesUseExponentialBackoffThenExhaust) {
+/// Tells `batch` back with its first run failed and the rest succeeding.
+void tell_first_failed(TuningService& service, SessionId id,
+                       const std::vector<PendingRun>& batch) {
   const auto ds = lynceus::testing::tiny_dataset();
+  RunResult failed;
+  failed.outcome = RunOutcome::kFailed;
+  failed.cost = 0.01;
+  service.tell(id, batch[0].config, failed);
+  for (std::size_t i = 1; i < batch.size(); ++i) {
+    RunResult ok;
+    ok.runtime_seconds = ds.observation(batch[i].config).runtime_seconds;
+    ok.cost = ds.observation(batch[i].config).cost();
+    service.tell(id, batch[i].config, ok);
+  }
+}
+
+TEST(RunPolicyTest, RetriesUseExponentialBackoffThenExhaust) {
   const auto problem = lynceus::testing::tiny_problem();
   TuningService::Options sopts;
   sopts.run_policy.max_attempts = 3;
@@ -286,10 +302,10 @@ TEST(RunPolicyTest, RetriesUseExponentialBackoffThenExhaust) {
   sopts.run_policy.backoff_multiplier = 3.0;
   sopts.run_policy.run_timeout_seconds = 123.0;
   TuningService service(sopts);
-  const SessionId id = service.open_random(problem, 4);
+  const SessionId id = service.open_session(SessionSpec::random(problem, 4));
 
   const std::vector<PendingRun> batch = service.next_runs();
-  ASSERT_FALSE(batch.empty());
+  ASSERT_GE(batch.size(), 2U);
   for (const PendingRun& run : batch) {
     EXPECT_EQ(run.attempt, 0U);
     EXPECT_EQ(run.timeout_seconds, 123.0);
@@ -301,11 +317,12 @@ TEST(RunPolicyTest, RetriesUseExponentialBackoffThenExhaust) {
   failed.outcome = RunOutcome::kFailed;
   failed.cost = 0.01;
 
-  // First failure: retried with delay 7, attempt 1; the stepper is not
-  // told, so the run is still outstanding.
-  service.tell(id, flaky, failed);
-  EXPECT_TRUE(service.result(id).failures.empty());
+  // First failure, in a wave whose other runs succeed: retried at the
+  // wave boundary with delay 7, attempt 1; the stepper is not told, so
+  // the run is still outstanding.
+  tell_first_failed(service, id, batch);
   std::vector<PendingRun> retries = service.next_runs();
+  EXPECT_TRUE(service.result(id).failures.empty());
   ASSERT_EQ(retries.size(), 1U);
   EXPECT_EQ(retries[0].config, flaky);
   EXPECT_EQ(retries[0].attempt, 1U);
@@ -319,40 +336,51 @@ TEST(RunPolicyTest, RetriesUseExponentialBackoffThenExhaust) {
   EXPECT_EQ(retries[0].attempt, 2U);
   EXPECT_EQ(retries[0].start_delay, 21.0);  // 7 × 3^1
 
-  // Third failure exhausts max_attempts: the failure goes to the stepper.
+  // Third failure exhausts max_attempts: the failure goes to the stepper,
+  // which applies the batch and moves on — no retry of the flaky config.
   service.tell(id, flaky, failed);
-  EXPECT_TRUE(service.next_runs().empty());  // no retry; batch in flight
-  EXPECT_FALSE(service.quarantined(id));
-  // Finish the rest of the batch; the applied batch carries the failure.
-  for (std::size_t i = 1; i < batch.size(); ++i) {
-    RunResult ok;
-    ok.runtime_seconds = ds.observation(batch[i].config).runtime_seconds;
-    ok.cost = ds.observation(batch[i].config).cost();
-    service.tell(id, batch[i].config, ok);
+  for (const PendingRun& run : service.next_runs()) {
+    EXPECT_NE(run.config, flaky);
+    EXPECT_EQ(run.start_delay, 0.0);
   }
+  EXPECT_FALSE(service.quarantined(id));
   ASSERT_EQ(service.result(id).failures.size(), 1U);
   EXPECT_EQ(service.result(id).failures[0].id, flaky);
 }
 
 TEST(RunPolicyTest, TellForRetryPendingConfigThrowsWithoutStateChange) {
+  const auto ds = lynceus::testing::tiny_dataset();
   const auto problem = lynceus::testing::tiny_problem();
   TuningService::Options sopts;
   sopts.run_policy.max_attempts = 2;
   TuningService service(sopts);
-  const SessionId id = service.open_random(problem, 4);
+  const SessionId id = service.open_session(SessionSpec::random(problem, 4));
   const auto batch = service.next_runs();
-  ASSERT_FALSE(batch.empty());
+  ASSERT_GE(batch.size(), 2U);
   RunResult failed;
   failed.outcome = RunOutcome::kFailed;
   service.tell(id, batch.front().config, failed);
-  // The retry is queued; a second result for the config is not due.
+  // The failure waits in the wave; a second result for the config is not
+  // due.
   EXPECT_THROW(service.tell(id, batch.front().config, failed),
                std::invalid_argument);
-  // State is intact: the retry still comes out exactly once.
+  RunResult ok;
+  for (std::size_t i = 1; i < batch.size(); ++i) {
+    ok.runtime_seconds = ds.observation(batch[i].config).runtime_seconds;
+    ok.cost = ds.observation(batch[i].config).cost();
+    service.tell(id, batch[i].config, ok);
+  }
+  // Nor is any result while the completed wave waits for its step.
+  EXPECT_THROW(service.tell(id, batch.front().config, failed),
+               std::invalid_argument);
+  // State is intact: the retry comes out exactly once, at the boundary.
   const auto retries = service.next_runs();
   ASSERT_EQ(retries.size(), 1U);
   EXPECT_EQ(retries[0].config, batch.front().config);
   EXPECT_EQ(retries[0].attempt, 1U);
+  EXPECT_TRUE(service.next_runs().empty());
+  // Only the retried config is owed a result now.
+  EXPECT_THROW(service.tell(id, batch[1].config, ok), std::invalid_argument);
 }
 
 TEST(RunPolicyTest, TmaxFactorCapsTheEffectiveTimeout) {
@@ -361,7 +389,7 @@ TEST(RunPolicyTest, TmaxFactorCapsTheEffectiveTimeout) {
   sopts.run_policy.run_timeout_seconds = 1e9;
   sopts.run_policy.timeout_tmax_factor = 2.0;
   TuningService service(sopts);
-  (void)service.open_random(problem, 4);
+  (void)service.open_session(SessionSpec::random(problem, 4));
   const auto batch = service.next_runs();
   ASSERT_FALSE(batch.empty());
   for (const PendingRun& run : batch) {
@@ -381,8 +409,9 @@ TEST(RunPolicyTest, QuarantineAfterConsecutiveFailures) {
   plan.fail_rate = 1.0;  // a broken runner: every attempt crashes
   async.set_fault_plan(plan);
 
-  const SessionId sick = service.open_random(problem, 4);
-  const SessionId healthy = service.open_lynceus(problem, fast_lynceus(), 6);
+  const SessionId sick = service.open_session(SessionSpec::random(problem, 4));
+  const SessionId healthy =
+      service.open_session(SessionSpec::lynceus(problem, fast_lynceus(), 6));
   service::drain(service, async);
 
   EXPECT_TRUE(service.idle());
@@ -392,7 +421,7 @@ TEST(RunPolicyTest, QuarantineAfterConsecutiveFailures) {
   EXPECT_EQ(service.stop_reason(sick), "runner_failed");
   EXPECT_EQ(service.quarantined_sessions(),
             (std::vector<SessionId>{sick, healthy}));
-  // The quarantining failure itself never reaches the stepper (tell
+  // The quarantining failure itself never reaches the stepper (the step
   // aborts first), so the ledger holds fewer than the streak.
   EXPECT_LT(service.result(sick).failures.size(),
             sopts.run_policy.quarantine_after);
@@ -418,7 +447,8 @@ TEST(RunPolicyTest, ActivePolicyWithInertPlanKeepsTrajectoriesBitIdentical) {
   sopts.run_policy.quarantine_after = 2;
   TuningService service(sopts);
   eval::AsyncTableRunner async(ds);  // no fault plan
-  const SessionId id = service.open_lynceus(problem, opts, 23);
+  const SessionId id =
+      service.open_session(SessionSpec::lynceus(problem, opts, 23));
   service::drain(service, async);
   ASSERT_TRUE(service.finished(id));
   EXPECT_FALSE(service.quarantined(id));
@@ -459,9 +489,10 @@ std::vector<SessionId> open_stormy_sessions(
     TuningService& service, const core::OptimizationProblem& problem) {
   std::vector<SessionId> ids;
   for (std::uint64_t seed = 11; seed <= 13; ++seed) {
-    ids.push_back(service.open_lynceus(problem, fast_lynceus(), seed));
+    ids.push_back(service.open_session(
+        SessionSpec::lynceus(problem, fast_lynceus(), seed)));
   }
-  ids.push_back(service.open_random(problem, 11));
+  ids.push_back(service.open_session(SessionSpec::random(problem, 11)));
   return ids;
 }
 
@@ -554,11 +585,7 @@ TEST(FaultReplay, CrashRecoveryDrillFinishesByteIdentically) {
   std::size_t processed = 0;
   while (processed < 11) {
     for (const PendingRun& run : crashed->next_runs()) {
-      eval::AsyncTableRunner::SubmitOptions opts;
-      opts.timeout_seconds = run.timeout_seconds;
-      opts.attempt = run.attempt;
-      opts.start_delay = run.start_delay;
-      async.submit(run.session, run.config, opts);
+      async.submit(run.session, run.config, run.submit_options());
     }
     const auto c = async.next_completion();
     ASSERT_TRUE(c.has_value()) << "scenario too small for the drill";
@@ -571,16 +598,19 @@ TEST(FaultReplay, CrashRecoveryDrillFinishesByteIdentically) {
 
   // Recovery: a fresh service (fresh process in spirit) restores every
   // session from its last journal entry and finishes against a fresh
-  // runner with the same fault plan. In-flight runs lost in the crash are
-  // re-launched with their original attempt numbers, so every fault draw
-  // replays and each session ends byte-identical to the uninterrupted run.
+  // runner with the same fault plan. In-flight runs lost in the crash —
+  // and results buffered in an incomplete wave — are re-launched with
+  // their original attempt numbers (retries with their backoff delays),
+  // so every fault draw replays and each session ends byte-identical to
+  // the uninterrupted run.
   TuningService revived(stormy_options());
   eval::AsyncTableRunner async2(ds);
   async2.set_fault_plan(stormy_plan());
   std::vector<SessionId> revived_ids;
   for (std::uint64_t seed = 11; seed <= 13; ++seed) {
-    revived_ids.push_back(revived.restore_lynceus(
-        problem, fast_lynceus(), seed, journal.at(seed - 11)));
+    revived_ids.push_back(revived.restore_session(
+        SessionSpec::lynceus(problem, fast_lynceus(), seed),
+        journal.at(seed - 11)));
   }
   revived_ids.push_back(revived.restore(
       core::RandomSearch().make_stepper(problem, 11), journal.at(3)));
@@ -596,27 +626,37 @@ TEST(FaultReplay, CrashRecoveryDrillFinishesByteIdentically) {
   }
 }
 
-TEST(FaultReplay, SessionEnvelopeRoundTripsRetriesAndQuarantine) {
-  const auto problem = lynceus::testing::tiny_problem();
+TuningService::Options retry_options() {
   TuningService::Options sopts;
   sopts.run_policy.max_attempts = 3;
   sopts.run_policy.backoff_base_seconds = 2.0;
-  TuningService service(sopts);
-  const SessionId id = service.open_random(problem, 8);
-  const auto batch = service.next_runs();
-  ASSERT_GE(batch.size(), 2U);
-  RunResult failed;
-  failed.outcome = RunOutcome::kFailed;
-  failed.cost = 0.01;
-  service.tell(id, batch[0].config, failed);  // queues a retry
+  return sopts;
+}
 
-  const std::string envelope = service.snapshot_session(id);
+/// A session whose applied wave retries the first run of its bootstrap:
+/// returns its envelope, and the bootstrap batch through `batch`.
+std::string envelope_with_retry(std::vector<PendingRun>& batch) {
+  const auto problem = lynceus::testing::tiny_problem();
+  TuningService service(retry_options());
+  const SessionId id = service.open_session(SessionSpec::random(problem, 8));
+  batch = service.next_runs();
+  EXPECT_GE(batch.size(), 2U);
+  tell_first_failed(service, id, batch);
+  const std::vector<PendingRun> retry = service.next_runs();  // the boundary
+  EXPECT_EQ(retry.size(), 1U);
+  return service.snapshot_session(id);
+}
+
+TEST(FaultReplay, SessionEnvelopeRoundTripsRetriesAndQuarantine) {
+  const auto problem = lynceus::testing::tiny_problem();
+  std::vector<PendingRun> batch;
+  const std::string envelope = envelope_with_retry(batch);
   EXPECT_NE(envelope.find("lynceus-service-session"), std::string::npos);
 
   // Restore into a second service: the envelope round-trips byte-for-byte
-  // and the queued retry is re-emitted exactly once, with its attempt
+  // and the pending retry is re-emitted exactly once, with its attempt
   // number and backoff delay.
-  TuningService revived(sopts);
+  TuningService revived(retry_options());
   const SessionId rid = revived.restore(
       core::RandomSearch().make_stepper(problem, 8), envelope);
   EXPECT_EQ(revived.snapshot_session(rid), envelope);
@@ -637,18 +677,66 @@ TEST(FaultReplay, SessionEnvelopeRoundTripsRetriesAndQuarantine) {
   TuningService::Options qopts;
   qopts.run_policy.quarantine_after = 1;
   TuningService qservice(qopts);
-  const SessionId qid = qservice.open_random(problem, 8);
-  (void)qservice.next_runs();
-  qservice.tell(qid, batch[0].config, failed);
+  const SessionId qid = qservice.open_session(SessionSpec::random(problem, 8));
+  tell_first_failed(qservice, qid, qservice.next_runs());
+  EXPECT_TRUE(qservice.next_runs().empty());
   ASSERT_TRUE(qservice.quarantined(qid));
   const std::string qenvelope = qservice.snapshot_session(qid);
   TuningService qrevived(qopts);
   const SessionId qrid = qrevived.restore(
       core::RandomSearch().make_stepper(problem, 8), qenvelope);
+  EXPECT_EQ(qrevived.snapshot_session(qrid), qenvelope);
   EXPECT_TRUE(qrevived.quarantined(qrid));
   EXPECT_TRUE(qrevived.finished(qrid));
   EXPECT_EQ(qrevived.stop_reason(qrid), "runner_failed");
   EXPECT_TRUE(qrevived.next_runs().empty());
+}
+
+/// An envelope whose policy state contradicts its stepper must not
+/// restore: it would launch runs nobody asked for, launch one twice, or
+/// replay the wrong fault draw.
+TEST(FaultReplay, RestoreRejectsTamperedEnvelopes) {
+  const auto problem = lynceus::testing::tiny_problem();
+  std::vector<PendingRun> batch;
+  const std::string envelope = envelope_with_retry(batch);
+  const std::string config = std::to_string(batch[0].config);
+  const std::string retry =
+      "{\"config\":" + config + ",\"attempt\":1,\"delay\":2}";
+  ASSERT_NE(envelope.find("\"retries\":[" + retry + "]"), std::string::npos)
+      << envelope;
+  const ConfigId stranger = 23;
+  for (const PendingRun& run : batch) ASSERT_NE(run.config, stranger);
+
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string tampered = envelope;
+    const std::size_t at = tampered.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return tampered.replace(at, from.size(), to);
+  };
+  const std::vector<std::string> tampered = {
+      // A retry of a config that is not outstanding.
+      with(retry, "{\"config\":" + std::to_string(stranger) +
+                      ",\"attempt\":1,\"delay\":2}"),
+      // The same retry listed twice.
+      with(retry, retry + "," + retry),
+      // A retry attempt that is not the config's saved attempt count.
+      with(retry, "{\"config\":" + config + ",\"attempt\":2,\"delay\":2}"),
+      // Quarantined, but the stepper is still running.
+      with("\"quarantined\":false", "\"quarantined\":true"),
+  };
+  for (std::size_t i = 0; i < tampered.size(); ++i) {
+    SCOPED_TRACE("tampered envelope " + std::to_string(i));
+    TuningService service;
+    EXPECT_THROW((void)service.restore(
+                     core::RandomSearch().make_stepper(problem, 8),
+                     tampered[i]),
+                 std::runtime_error);
+    EXPECT_EQ(service.session_count(), 0U);
+  }
+  // The untampered envelope still restores.
+  TuningService service;
+  EXPECT_NO_THROW((void)service.restore(
+      core::RandomSearch().make_stepper(problem, 8), envelope));
 }
 
 }  // namespace

@@ -167,7 +167,7 @@ void pump(TuningService& service, eval::AsyncTableRunner& async) {
   }
 }
 
-TEST(SessionSpec, LegacyShimsAndOpenSessionProduceIdenticalTrajectories) {
+TEST(SessionSpec, WireRoundTrippedSpecProducesIdenticalTrajectory) {
   const auto ds = lynceus::testing::tiny_dataset();
   const auto problem = lynceus::testing::tiny_problem();
   core::LynceusOptions lopts;
@@ -176,7 +176,6 @@ TEST(SessionSpec, LegacyShimsAndOpenSessionProduceIdenticalTrajectories) {
 
   TuningService service;
   eval::AsyncTableRunner async(ds);
-  const SessionId via_shim = service.open_lynceus(problem, lopts, 41);
   SessionSpec spec = SessionSpec::lynceus(problem, lopts, 41);
   const SessionId via_spec = service.open_session(spec);
   // A spec that went through the JSON codec (as a wire frame would) must
@@ -186,11 +185,9 @@ TEST(SessionSpec, LegacyShimsAndOpenSessionProduceIdenticalTrajectories) {
   const SessionId via_wire = service.open_session(wire);
   pump(service, async);
 
-  ASSERT_TRUE(service.finished(via_shim));
   ASSERT_TRUE(service.finished(via_spec));
   ASSERT_TRUE(service.finished(via_wire));
-  expect_identical(service.result(via_spec), service.result(via_shim));
-  expect_identical(service.result(via_wire), service.result(via_shim));
+  expect_identical(service.result(via_wire), service.result(via_spec));
 }
 
 TEST(SessionSpec, OpenSessionWithoutProblemThrows) {

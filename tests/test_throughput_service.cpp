@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -108,7 +109,8 @@ TEST(ThroughputService, SixtyFourSessionsMatchTheirSoloRuns) {
     core::LynceusOptions opts;
     opts.lookahead = seed % 2 == 0 ? 1U : 0U;
     opts.incremental_refit = false;
-    ids.push_back(service.open_lynceus(problem, opts, seed));
+    ids.push_back(
+        service.open_session(SessionSpec::lynceus(problem, opts, seed)));
   }
   drain(service, async);  // dispatches to run_throughput
 
@@ -139,7 +141,8 @@ TEST(ThroughputService, MixedOptimizerKindsMatchTheirSoloRuns) {
     core::LynceusOptions lopts;
     lopts.lookahead = 1;
     lopts.incremental_refit = false;
-    ids.push_back(service.open_lynceus(problem, lopts, seed));
+    ids.push_back(
+        service.open_session(SessionSpec::lynceus(problem, lopts, seed)));
     solos.push_back([&, lopts, seed] {
       eval::TableRunner solo(ds, tiny_metrics());
       auto stepper = core::LynceusOptimizer(lopts).make_stepper(problem, seed);
@@ -149,8 +152,8 @@ TEST(ThroughputService, MixedOptimizerKindsMatchTheirSoloRuns) {
     core::MultiConstraintOptions mopts;
     mopts.lookahead = 1;
     mopts.incremental_refit = false;
-    ids.push_back(service.open_multi_constraint(
-        problem, {tiny_constraint(26.0)}, mopts, seed));
+    ids.push_back(service.open_session(SessionSpec::multi_constraint(
+        problem, {tiny_constraint(26.0)}, mopts, seed)));
     solos.push_back([&, mopts, seed] {
       eval::TableRunner solo(ds, tiny_metrics());
       auto stepper = core::MultiConstraintLynceus({tiny_constraint(26.0)},
@@ -159,14 +162,15 @@ TEST(ThroughputService, MixedOptimizerKindsMatchTheirSoloRuns) {
       return core::drive(*stepper, solo);
     });
 
-    ids.push_back(service.open_bo(problem, core::BoOptions{}, seed));
+    ids.push_back(service.open_session(
+        SessionSpec::bo(problem, core::BoOptions{}, seed)));
     solos.push_back([&, seed] {
       eval::TableRunner solo(ds, tiny_metrics());
       auto stepper = core::BayesianOptimizer().make_stepper(problem, seed);
       return core::drive(*stepper, solo);
     });
 
-    ids.push_back(service.open_random(problem, seed));
+    ids.push_back(service.open_session(SessionSpec::random(problem, seed)));
     solos.push_back([&, seed] {
       eval::TableRunner solo(ds, tiny_metrics());
       auto stepper = core::RandomSearch().make_stepper(problem, seed);
@@ -183,32 +187,50 @@ TEST(ThroughputService, MixedOptimizerKindsMatchTheirSoloRuns) {
   }
 }
 
+/// FIFO loop that collects every completion the runner can deliver
+/// before telling any, then tells them in reverse arrival order.
+void drain_reversed(TuningService& service, eval::AsyncTableRunner& async) {
+  while (true) {
+    for (const PendingRun& run : service.next_runs()) {
+      async.submit(run.session, run.config, run.submit_options());
+    }
+    std::vector<eval::AsyncTableRunner::Completion> batch;
+    while (auto c = async.next_completion()) batch.push_back(*c);
+    if (batch.empty()) return;
+    for (auto it = batch.rbegin(); it != batch.rend(); ++it) {
+      service.tell(it->tag, it->config, it->result);
+    }
+  }
+}
+
 /// The cross-mode half of the contract under faults: same sessions, same
-/// fault plan and retry policy, FIFO service vs throughput service —
-/// per-session results (histories, failure ledgers, budgets) must match
-/// byte-for-byte. quarantine_after stays 0: streak accounting is
-/// wave-canonical in throughput mode (see the header contract), so
-/// quarantine triggering is the one policy feature not pinned cross-mode.
+/// fault plan and run policy — quarantine included — told forward by the
+/// FIFO drain, told in reverse by a batching FIFO loop, or stepped by
+/// the throughput workers: per-session results (histories, failure
+/// ledgers, budgets) and stop reasons must match byte-for-byte.
 TEST(ThroughputService, FaultyRunsMatchFifoModeByteForByte) {
   const auto ds = lynceus::testing::tiny_dataset();
   const auto problem = lynceus::testing::tiny_problem();
 
-  eval::FaultPlan plan;
-  plan.seed = 99;
-  plan.fail_rate = 0.45;
-  plan.hang_rate = 0.1;
-  plan.straggler_rate = 0.2;
-  plan.straggler_factor = 3.0;
-
-  RunPolicy policy;
-  policy.max_attempts = 2;
-  policy.backoff_base_seconds = 5.0;
-  policy.run_timeout_seconds = 600.0;
-
-  const auto run_mode = [&](std::size_t workers) {
+  enum class Feed { kFifo, kFifoReversed, kThroughput1, kThroughput4 };
+  using Outcome =
+      std::pair<std::vector<OptimizerResult>, std::vector<std::string>>;
+  const auto run_mode = [&](Feed feed, double fail_rate,
+                            std::size_t quarantine_after) {
+    eval::FaultPlan plan;
+    plan.seed = 99;
+    plan.fail_rate = fail_rate;
+    plan.hang_rate = 0.1;
+    plan.straggler_rate = 0.2;
+    plan.straggler_factor = 3.0;
     TuningService::Options o;
-    o.throughput_workers = workers;
-    o.run_policy = policy;
+    o.throughput_workers = feed == Feed::kThroughput1   ? 1
+                           : feed == Feed::kThroughput4 ? 4
+                                                        : 0;
+    o.run_policy.max_attempts = 2;
+    o.run_policy.backoff_base_seconds = 5.0;
+    o.run_policy.run_timeout_seconds = 600.0;
+    o.run_policy.quarantine_after = quarantine_after;
     TuningService service(o);
     eval::AsyncTableRunner async(ds);
     async.set_fault_plan(plan);
@@ -217,30 +239,46 @@ TEST(ThroughputService, FaultyRunsMatchFifoModeByteForByte) {
       core::LynceusOptions opts;
       opts.lookahead = seed % 2;
       opts.incremental_refit = false;
-      ids.push_back(service.open_lynceus(problem, opts, seed));
+      ids.push_back(
+          service.open_session(SessionSpec::lynceus(problem, opts, seed)));
     }
-    drain(service, async);
-    std::vector<OptimizerResult> results;
-    std::vector<std::string> reasons;
+    if (feed == Feed::kFifoReversed) {
+      drain_reversed(service, async);
+    } else {
+      drain(service, async);
+    }
+    Outcome out;
     for (const SessionId id : ids) {
       EXPECT_TRUE(service.finished(id));
-      results.push_back(service.result(id));
-      reasons.push_back(service.stop_reason(id));
+      out.first.push_back(service.result(id));
+      out.second.push_back(service.stop_reason(id));
     }
-    return std::make_pair(results, reasons);
+    return out;
   };
 
-  const auto fifo = run_mode(0);
-  const auto tp4 = run_mode(4);
-  const auto tp1 = run_mode(1);  // worker count must not matter either
-  ASSERT_EQ(fifo.first.size(), tp4.first.size());
-  for (std::size_t i = 0; i < fifo.first.size(); ++i) {
-    SCOPED_TRACE("session " + std::to_string(i));
-    expect_identical(fifo.first[i], tp4.first[i]);
-    expect_identical(fifo.first[i], tp1.first[i]);
-    EXPECT_EQ(fifo.second[i], tp4.second[i]);
-    EXPECT_EQ(fifo.second[i], tp1.second[i]);
+  std::size_t quarantined = 0;
+  for (const double fail_rate : {0.45, 0.7}) {
+    for (const std::size_t quarantine_after : {0U, 2U, 3U}) {
+      SCOPED_TRACE("fail_rate " + std::to_string(fail_rate) +
+                   " quarantine_after " + std::to_string(quarantine_after));
+      const Outcome fifo = run_mode(Feed::kFifo, fail_rate, quarantine_after);
+      for (const Feed feed :
+           {Feed::kFifoReversed, Feed::kThroughput1, Feed::kThroughput4}) {
+        SCOPED_TRACE("feed " + std::to_string(static_cast<int>(feed)));
+        const Outcome other = run_mode(feed, fail_rate, quarantine_after);
+        ASSERT_EQ(fifo.first.size(), other.first.size());
+        for (std::size_t i = 0; i < fifo.first.size(); ++i) {
+          SCOPED_TRACE("session " + std::to_string(i));
+          expect_identical(fifo.first[i], other.first[i]);
+          EXPECT_EQ(fifo.second[i], other.second[i]);
+        }
+      }
+      quarantined += static_cast<std::size_t>(std::count(
+          fifo.second.begin(), fifo.second.end(), "runner_failed"));
+    }
   }
+  // The grid really exercises quarantine, mid-trajectory.
+  EXPECT_GT(quarantined, 0U);
 }
 
 TEST(ThroughputService, FailEverythingQuarantinesIdenticallyToFifo) {
@@ -261,7 +299,7 @@ TEST(ThroughputService, FailEverythingQuarantinesIdenticallyToFifo) {
     async.set_fault_plan(plan);
     std::vector<SessionId> ids;
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-      ids.push_back(service.open_random(problem, seed));
+      ids.push_back(service.open_session(SessionSpec::random(problem, seed)));
     }
     drain(service, async);
     return std::make_pair(std::move(service), std::move(ids));
@@ -295,7 +333,7 @@ TEST(ThroughputService, UncappedHangsStallCleanly) {
   async.set_fault_plan(plan);
   std::vector<SessionId> ids;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    ids.push_back(service.open_random(problem, seed));
+    ids.push_back(service.open_session(SessionSpec::random(problem, seed)));
   }
   drain(service, async);  // must return despite nothing ever completing
 
@@ -331,7 +369,8 @@ TEST(ThroughputService, JournaledSessionsRestoreIntoEitherMode) {
   opts.incremental_refit = false;
   std::vector<SessionId> ids;
   for (std::uint64_t seed = 31; seed <= 38; ++seed) {
-    ids.push_back(service.open_lynceus(problem, opts, seed));
+    ids.push_back(
+        service.open_session(SessionSpec::lynceus(problem, opts, seed)));
   }
   drain(service, async);
 
@@ -344,21 +383,21 @@ TEST(ThroughputService, JournaledSessionsRestoreIntoEitherMode) {
     // The final envelope restores to the finished state in FIFO mode…
     TuningService fifo;
     eval::AsyncTableRunner a1(ds);
-    const SessionId r1 =
-        fifo.restore_lynceus(problem, opts, seed, last_envelope[ids[i]]);
+    const SessionId r1 = fifo.restore_session(
+        SessionSpec::lynceus(problem, opts, seed), last_envelope[ids[i]]);
     drain(fifo, a1);
     expect_identical(fifo.result(r1), service.result(ids[i]));
     // …and in throughput mode.
     TuningService tp(throughput_options(2));
     eval::AsyncTableRunner a2(ds);
-    const SessionId r2 =
-        tp.restore_lynceus(problem, opts, seed, last_envelope[ids[i]]);
+    const SessionId r2 = tp.restore_session(
+        SessionSpec::lynceus(problem, opts, seed), last_envelope[ids[i]]);
     drain(tp, a2);
     expect_identical(tp.result(r2), service.result(ids[i]));
   }
 }
 
-/// A FIFO-journaled envelope that carries a *queued retry* restores into
+/// A FIFO-journaled envelope that carries a *pending retry* restores into
 /// throughput mode mid-batch: the saved attempt number (and hence fault
 /// draw) and the rest of the outstanding batch are relaunched, finishing
 /// byte-identically to the FIFO restore.
@@ -381,17 +420,15 @@ TEST(ThroughputService, RestoresFifoEnvelopeWithQueuedRetries) {
   core::LynceusOptions opts;
   opts.lookahead = 0;
   opts.incremental_refit = false;
-  const SessionId id = fifo.open_lynceus(problem, opts, 21);
+  const SessionId id =
+      fifo.open_session(SessionSpec::lynceus(problem, opts, 21));
 
-  // Drive FIFO until a retry is queued, then snapshot that envelope.
+  // Drive FIFO until an applied wave retries a run, then snapshot that
+  // envelope.
   std::string envelope;
   while (envelope.empty() && !fifo.finished(id)) {
     for (const PendingRun& run : fifo.next_runs()) {
-      eval::AsyncTableRunner::SubmitOptions so;
-      so.timeout_seconds = run.timeout_seconds;
-      so.attempt = run.attempt;
-      so.start_delay = run.start_delay;
-      async.submit(run.session, run.config, so);
+      async.submit(run.session, run.config, run.submit_options());
     }
     const auto c = async.next_completion();
     ASSERT_TRUE(c.has_value());
@@ -408,7 +445,8 @@ TEST(ThroughputService, RestoresFifoEnvelopeWithQueuedRetries) {
   TuningService tp(throughput_options(2));
   eval::AsyncTableRunner a2(ds);
   a2.set_fault_plan(plan);
-  const SessionId rid = tp.restore_lynceus(problem, opts, 21, envelope);
+  const SessionId rid =
+      tp.restore_session(SessionSpec::lynceus(problem, opts, 21), envelope);
   drain(tp, a2);
   ASSERT_TRUE(tp.finished(rid));
   expect_identical(tp.result(rid), fifo.result(id));

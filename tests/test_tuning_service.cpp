@@ -275,8 +275,9 @@ TEST(TuningService, SnapshotRestoreMidFlightFinishesByteIdentically) {
   const std::string snap = service.snapshot(id);
   service.close(id);
 
-  // Restore into a second service instance (fresh process in spirit); the
-  // still-in-flight runs are re-asked for, already-told ones are not.
+  // Restore into a second service instance (fresh process in spirit).
+  // Told results wait in the session's incomplete wave, outside the
+  // stepper snapshot, so every run of the batch is re-asked for.
   TuningService revived;
   eval::AsyncTableRunner async2(ds);
   const SessionId rid = revived.restore_session(SessionSpec::lynceus(problem, opts, 23), snap);

@@ -54,7 +54,9 @@
 /// sequence, failure ledger and stop reason are printed and hashed, so CI
 /// can diff the faulted dump across build modes exactly like the plain
 /// one — a divergence means the failure paths, not just the happy path,
-/// depend on the build.
+/// depend on the build. After the combined hash it prints a second, harsher
+/// storm whose sessions quarantine mid-wave, with its own hash line, so
+/// the FIFO-vs-throughput diff covers quarantine too.
 
 #include <algorithm>
 #include <cstdio>
@@ -110,23 +112,25 @@ void print_case(std::ostringstream& out, const std::string& name,
       << " hash=" << h << "\n";
 }
 
-/// The --faults scenario: three Lynceus sessions on the scout workload,
+/// A --faults scenario: three Lynceus sessions on the scout workload,
 /// drained through the TuningService against the asynchronous replay
 /// runner under a seeded storm (failures, hangs, stragglers) with the full
-/// RunPolicy active. Prints one line per session — id sequence, failure
-/// ledger as id@after_samples, recommendation, stop reason — plus a hash
-/// over ids, failures and the quarantine bit. The scenario draws no
-/// randomness outside the fixed seeds, so it is byte-identical across
-/// runs and must stay byte-identical across build modes.
-void print_fault_cases(std::ostringstream& out, bool incremental,
-                       std::size_t throughput_workers,
+/// RunPolicy active. Prints one `<label><seed>` line per session — id
+/// sequence, failure ledger as id@after_samples, recommendation, stop
+/// reason — and folds into `combined` a hash over ids, failures and the
+/// quarantine bit. The scenario draws no randomness outside the fixed
+/// seeds, so it is byte-identical across runs and must stay
+/// byte-identical across build modes.
+void print_fault_cases(std::ostringstream& out, const std::string& label,
+                       double fail_rate, std::size_t quarantine_after,
+                       bool incremental, std::size_t throughput_workers,
                        std::uint64_t& combined) {
   const auto scout = cloud::make_scout_datasets().front();
   const auto problem = eval::make_problem(scout, 3.0);
 
   eval::FaultPlan plan;
   plan.seed = 99;
-  plan.fail_rate = 0.45;
+  plan.fail_rate = fail_rate;
   plan.hang_rate = 0.1;
   plan.straggler_rate = 0.2;
   plan.straggler_factor = 3.0;
@@ -136,7 +140,7 @@ void print_fault_cases(std::ostringstream& out, bool incremental,
   sopts.run_policy.max_attempts = 2;
   sopts.run_policy.backoff_base_seconds = 5.0;
   sopts.run_policy.run_timeout_seconds = 600.0;
-  sopts.run_policy.quarantine_after = 4;
+  sopts.run_policy.quarantine_after = quarantine_after;
   service::TuningService svc(sopts);
 
   std::vector<service::SessionId> ids;
@@ -157,7 +161,7 @@ void print_fault_cases(std::ostringstream& out, bool incremental,
   for (std::size_t i = 0; i < ids.size(); ++i) {
     const auto r = svc.result(ids[i]);
     const bool quarantined = svc.quarantined(ids[i]);
-    out << "faults_s" << (21 + i) << ": ids=";
+    out << label << (21 + i) << ": ids=";
     for (std::size_t k = 0; k < r.history.size(); ++k) {
       if (k > 0) out << ",";
       out << r.history[k].id;
@@ -428,10 +432,17 @@ int main(int argc, char** argv) {
   }
 
   if (faults) {
-    print_fault_cases(out, incremental, throughput_workers, combined);
+    print_fault_cases(out, "faults_s", 0.45, 4, incremental,
+                      throughput_workers, combined);
   }
 
   out << "combined_hash=" << combined << "\n";
+  if (faults) {
+    std::uint64_t quarantine = kFnvOffset;
+    print_fault_cases(out, "quarantine_s", 0.7, 2, incremental,
+                      throughput_workers, quarantine);
+    out << "quarantine_hash=" << quarantine << "\n";
+  }
   std::fputs(out.str().c_str(), stdout);
   if (!out_path.empty()) {
     std::ofstream f(out_path);
