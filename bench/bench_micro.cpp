@@ -747,8 +747,12 @@ SessionThroughputStats measure_session_throughput(std::size_t sessions,
         ids.push_back(
             svc.open(core::LynceusOptimizer(per).make_stepper(problem, 5)));
       } else {
-        ids.push_back(
-            svc.open_session(service::SessionSpec::lynceus(problem, per, 5)));
+        service::SessionSpec spec;
+        spec.problem = &problem;
+        spec.seed = 5;
+        spec.lookahead = opts.lookahead;
+        spec.screen_width = opts.screen_width;
+        ids.push_back(svc.open_session(spec));
       }
     }
     eval::AsyncTableRunner async(ds);
@@ -785,10 +789,10 @@ SessionThroughputStats measure_session_scaling(std::size_t sessions,
                                                std::size_t reps) {
   const auto ds = decision_dataset(1);  // Scout: realistic small job
   const auto problem = eval::make_problem(ds, 3.0);
-  core::LynceusOptions opts;
-  opts.lookahead = 1;
-  opts.screen_width = 24;
-  opts.incremental_refit = false;
+  service::SessionSpec spec;
+  spec.problem = &problem;
+  spec.lookahead = 1;
+  spec.screen_width = 24;
 
   std::vector<double> ms_per_decision;
   std::size_t decisions = 0;
@@ -798,8 +802,8 @@ SessionThroughputStats measure_session_scaling(std::size_t sessions,
     service::TuningService svc(sopts);
     std::vector<service::SessionId> ids;
     for (std::size_t s = 0; s < sessions; ++s) {
-      ids.push_back(svc.open_session(
-          service::SessionSpec::lynceus(problem, opts, s + 1)));
+      spec.seed = s + 1;
+      ids.push_back(svc.open_session(spec));
     }
     eval::AsyncTableRunner async(ds);
     const auto t0 = std::chrono::steady_clock::now();

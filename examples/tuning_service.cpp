@@ -98,9 +98,9 @@ int main() {
 
   // Snapshot/restore: freeze one session mid-run, revive it elsewhere.
   service::TuningService first;
-  const service::SessionSpec frozen_spec =
-      service::SessionSpec::lynceus(problems[0], core::LynceusOptions{},
-                                    /*seed=*/11);
+  service::SessionSpec frozen_spec;
+  frozen_spec.problem = &problems[0];
+  frozen_spec.seed = 11;
   const service::SessionId sid = first.open_session(frozen_spec);
   eval::AsyncTableRunner feed(datasets[0]);
   for (const auto& run : first.next_runs()) feed.submit(run.session, run.config);

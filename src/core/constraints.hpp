@@ -91,17 +91,15 @@ struct MultiConstraintOptions {
   /// with per-worker workspace replicas and a fixed reduction order —
   /// trajectories stay byte-identical to serial runs (pooled-determinism
   /// contract in core/lookahead.hpp). No effect when `pool` is null or
-  /// worker-less. Defaults to the LYNCEUS_BRANCH_PARALLEL environment
-  /// toggle, mirroring LynceusOptions::branch_parallel.
-  bool branch_parallel = util::env_flag("LYNCEUS_BRANCH_PARALLEL");
+  /// worker-less. Mirrors LynceusOptions::branch_parallel.
+  bool branch_parallel = false;
   /// Optional root cache shared across optimize() runs (see RootCache in
   /// core/lookahead.hpp); null disables caching. Not owned.
   RootCache* root_cache = nullptr;
   /// Opt-in incremental refit of the I+1 per-branch ensembles (see the
   /// "Incremental-refit determinism contract" in core/lookahead.hpp).
-  /// Defaults to the LYNCEUS_INCREMENTAL_REFIT environment toggle (false
-  /// when unset), mirroring LynceusOptions::incremental_refit.
-  bool incremental_refit = util::env_flag("LYNCEUS_INCREMENTAL_REFIT");
+  /// Off by default, mirroring LynceusOptions::incremental_refit.
+  bool incremental_refit = false;
   /// Blacklist configurations whose profiling run FAILED from future
   /// proposals (see LoopState::blacklist_failed), mirroring
   /// LynceusOptions::blacklist_failed. Failed runs record no constraint

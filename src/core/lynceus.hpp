@@ -38,7 +38,6 @@
 #include "core/trace.hpp"
 #include "core/types.hpp"
 #include "model/regressor.hpp"
-#include "util/cli.hpp"
 #include "util/thread_pool.hpp"
 
 namespace lynceus::core {
@@ -74,10 +73,8 @@ struct LynceusOptions {
   /// trajectories stay byte-identical to serial runs (see the
   /// pooled-determinism contract in core/lookahead.hpp). No effect when
   /// `pool` is null or has zero workers. Useful when viable roots are
-  /// fewer than cores, or to cut single-decision tail latency. Defaults
-  /// to the LYNCEUS_BRANCH_PARALLEL environment toggle (false when
-  /// unset).
-  bool branch_parallel = util::env_flag("LYNCEUS_BRANCH_PARALLEL");
+  /// fewer than cores, or to cut single-decision tail latency.
+  bool branch_parallel = false;
   /// Optional setup-cost extension (§4.4).
   SetupCostFn setup_cost;
   /// Optional root cache (see RootCache in core/lookahead.hpp): share one
@@ -90,10 +87,8 @@ struct LynceusOptions {
   /// "Incremental-refit determinism contract" in core/lookahead.hpp):
   /// ~1.5-2x faster cold decisions at lookahead >= 1, trajectories
   /// internally deterministic but not bit-identical to the flag-off golden
-  /// path. Defaults to the LYNCEUS_INCREMENTAL_REFIT environment toggle
-  /// (false when unset) so CI can run the whole suite once with the flag
-  /// on; tests pinning the golden flag-off semantics set it explicitly.
-  bool incremental_refit = util::env_flag("LYNCEUS_INCREMENTAL_REFIT");
+  /// path. Off by default: the golden trajectories are the flag-off ones.
+  bool incremental_refit = false;
   /// Blacklist configurations whose profiling run FAILED
   /// (core::RunOutcome::kFailed) from future proposals; see
   /// LoopState::blacklist_failed. Irrelevant for fault-free runs.

@@ -159,10 +159,6 @@ const core::OptimizationProblem* TuningServer::resolve_problem(
   if (it != problems_.end()) {
     return it->second.get();
   }
-  if (!options_.bundled_workloads) {
-    throw std::invalid_argument("unknown problem '" + ref.suite + "/" +
-                                ref.job + "' (bundled workloads disabled)");
-  }
   const std::string key = bundled_key(ref.suite, ref.job, ref.budget_multiplier);
   it = problems_.find(key);
   if (it != problems_.end()) {
@@ -619,7 +615,6 @@ void TuningServer::shard_loop(std::size_t s) {
 
   service::TuningService::Options sopts;
   sopts.root_cache_capacity = options_.root_cache_capacity;
-  sopts.cache_store_models = options_.cache_store_models;
   sopts.run_policy = options_.run_policy;
   service::TuningService svc(sopts);
 

@@ -113,7 +113,6 @@ class TuningServer {
     /// AND a recurrent problem warm-start each other, exactly as in the
     /// in-process service; trajectories are unaffected.
     std::size_t root_cache_capacity = 0;
-    bool cache_store_models = false;
     /// Default failure policy for sessions whose spec carries none.
     service::RunPolicy run_policy;
     /// Frames larger than this are a fatal protocol error.
@@ -122,10 +121,6 @@ class TuningServer {
     /// peer thread is busy; a full request lane parks the connection's
     /// read interest (see "Backpressure" above) instead of blocking.
     std::size_t lane_capacity = 1024;
-    /// Resolve `problem_ref`s naming the bundled evaluation suites
-    /// ("tf" | "scout" | "cherrypick") by building the replay dataset on
-    /// first use. Off = only problems injected via register_problem().
-    bool bundled_workloads = true;
     /// Encodings the hello handshake may pick (default: both).
     WirePolicy wire = WirePolicy::kNegotiate;
     /// Pin shard s to core s and transport t to core K+t (mod cores) —
@@ -157,9 +152,11 @@ class TuningServer {
 
   /// Registers `problem` under (suite, job) for ProblemRef resolution —
   /// how embedders (and tests) serve problems the bundled suites do not
-  /// cover. A registered problem's budget is its own; the ref's
-  /// budget_multiplier is ignored for it. Thread-safe; typically called
-  /// before clients connect.
+  /// cover. Refs naming a bundled suite ("tf" | "scout" | "cherrypick")
+  /// always resolve, building the replay dataset on first use. A
+  /// registered problem's budget is its own; the ref's budget_multiplier
+  /// is ignored for it. Thread-safe; typically called before clients
+  /// connect.
   void register_problem(const std::string& suite, const std::string& job,
                         core::OptimizationProblem problem);
 

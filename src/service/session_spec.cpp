@@ -88,78 +88,6 @@ core::ConstraintDef ConstraintSpec::def() const {
   return d;
 }
 
-SessionSpec SessionSpec::lynceus(const core::OptimizationProblem& problem,
-                                 const core::LynceusOptions& options,
-                                 std::uint64_t seed) {
-  SessionSpec spec;
-  spec.optimizer = "lynceus";
-  spec.seed = seed;
-  spec.problem = &problem;
-  spec.lookahead = options.lookahead;
-  spec.gh_points = options.gh_points;
-  spec.gamma = options.gamma;
-  spec.feasibility_quantile = options.feasibility_quantile;
-  spec.screen_width = options.screen_width;
-  spec.ei_stop_fraction = options.ei_stop_fraction;
-  spec.incremental_refit = options.incremental_refit;
-  spec.branch_parallel = options.branch_parallel;
-  spec.blacklist_failed = options.blacklist_failed;
-  spec.observer = options.observer;
-  spec.model_factory = options.model_factory;
-  spec.setup_cost = options.setup_cost;
-  return spec;
-}
-
-SessionSpec SessionSpec::multi_constraint(
-    const core::OptimizationProblem& problem,
-    const std::vector<core::ConstraintDef>& constraints,
-    const core::MultiConstraintOptions& options, std::uint64_t seed) {
-  SessionSpec spec;
-  spec.optimizer = "multi_constraint";
-  spec.seed = seed;
-  spec.problem = &problem;
-  spec.lookahead = options.lookahead;
-  spec.gh_points = options.gh_points;
-  spec.gamma = options.gamma;
-  spec.feasibility_quantile = options.feasibility_quantile;
-  spec.prune_weight = options.prune_weight;
-  spec.incremental_refit = options.incremental_refit;
-  spec.branch_parallel = options.branch_parallel;
-  spec.blacklist_failed = options.blacklist_failed;
-  spec.observer = options.observer;
-  spec.model_factory = options.model_factory;
-  for (const core::ConstraintDef& d : constraints) {
-    ConstraintSpec c;
-    c.name = d.name;
-    c.metric_index = d.metric_index;
-    c.threshold_fn = d.threshold;  // opaque; serializes only if replaced
-    spec.constraints.push_back(std::move(c));
-  }
-  return spec;
-}
-
-SessionSpec SessionSpec::bo(const core::OptimizationProblem& problem,
-                            const core::BoOptions& options,
-                            std::uint64_t seed) {
-  SessionSpec spec;
-  spec.optimizer = "bo";
-  spec.seed = seed;
-  spec.problem = &problem;
-  spec.ei_stop_fraction = options.ei_stop_fraction;
-  spec.observer = options.observer;
-  spec.model_factory = options.model_factory;
-  return spec;
-}
-
-SessionSpec SessionSpec::random(const core::OptimizationProblem& problem,
-                                std::uint64_t seed) {
-  SessionSpec spec;
-  spec.optimizer = "random";
-  spec.seed = seed;
-  spec.problem = &problem;
-  return spec;
-}
-
 core::LynceusOptions SessionSpec::lynceus_options() const {
   if (optimizer != "lynceus") {
     throw std::invalid_argument(

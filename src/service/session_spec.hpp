@@ -5,10 +5,9 @@
 /// `SessionSpec`, describes everything a session is — optimizer kind,
 /// problem, optimizer options, run policy, seed — so the same description
 /// can arrive as C++ code (`TuningService::open_session`), as a CLI flag
-/// set (`lynceus_tune`), inside a snapshot, or as a length-prefixed JSON
-/// frame over TCP (src/net/). The legacy per-optimizer `open_*` overloads
-/// are one-line shims over this type: a wire protocol cannot carry a C++
-/// overload set, so the spec is the unit the redesigned API speaks.
+/// set (`lynceus_tune` builds every mode's session from one), inside a
+/// snapshot, or as a length-prefixed frame over TCP (src/net/). Callers
+/// set its fields directly; there is no second, per-optimizer way in.
 ///
 /// ## One codec
 ///
@@ -31,8 +30,10 @@
 /// MultiConstraintOptions / BoOptions; kinds ignore knobs they do not
 /// have (BO reads only `ei_stop_fraction` + `model_factory`, RND reads
 /// nothing but the seed). Defaults mirror the per-optimizer structs,
-/// including the `LYNCEUS_INCREMENTAL_REFIT` / `LYNCEUS_BRANCH_PARALLEL`
-/// environment toggles and multi_constraint's lookahead default of 1.
+/// including multi_constraint's lookahead default of 1 (which from_json
+/// applies; in-process callers set `lookahead` themselves). Every default
+/// is a constant: a document that leaves a knob out means the same thing
+/// in every process, whatever its environment.
 
 #include <cstdint>
 #include <functional>
@@ -45,7 +46,6 @@
 #include "core/constraints.hpp"
 #include "core/lynceus.hpp"
 #include "core/types.hpp"
-#include "util/cli.hpp"
 #include "util/json.hpp"
 
 namespace lynceus::service {
@@ -132,8 +132,10 @@ struct SessionSpec {
   unsigned screen_width = 0;
   double ei_stop_fraction = 0.0;
   double prune_weight = 1e-3;  ///< multi_constraint only
-  bool incremental_refit = util::env_flag("LYNCEUS_INCREMENTAL_REFIT");
-  bool branch_parallel = util::env_flag("LYNCEUS_BRANCH_PARALLEL");
+  bool incremental_refit = false;  ///< lynceus/multi_constraint, see
+                                   ///< LynceusOptions::incremental_refit
+  bool branch_parallel = false;    ///< lynceus/multi_constraint, see
+                                   ///< LynceusOptions::branch_parallel
   bool blacklist_failed = true;
 
   /// multi_constraint only; must be empty for other kinds.
@@ -147,22 +149,6 @@ struct SessionSpec {
   core::OptimizerObserver* observer = nullptr;
   model::ModelFactory model_factory;
   core::SetupCostFn setup_cost;
-
-  /// Shim builders used by the legacy open_* overloads: copy every knob of
-  /// the per-optimizer struct into a spec (pool/root_cache excluded — the
-  /// service injects its shared ones at open).
-  [[nodiscard]] static SessionSpec lynceus(
-      const core::OptimizationProblem& problem,
-      const core::LynceusOptions& options, std::uint64_t seed);
-  [[nodiscard]] static SessionSpec multi_constraint(
-      const core::OptimizationProblem& problem,
-      const std::vector<core::ConstraintDef>& constraints,
-      const core::MultiConstraintOptions& options, std::uint64_t seed);
-  [[nodiscard]] static SessionSpec bo(const core::OptimizationProblem& problem,
-                                      const core::BoOptions& options,
-                                      std::uint64_t seed);
-  [[nodiscard]] static SessionSpec random(
-      const core::OptimizationProblem& problem, std::uint64_t seed);
 
   /// The per-optimizer option structs this spec denotes (pool/cache left
   /// null — callers inject them). Throws std::invalid_argument when the

@@ -33,7 +33,6 @@ TuningService::TuningService(Options options) : options_(std::move(options)) {
   if (options_.root_cache_capacity > 0) {
     core::RootCache::Options copts;
     copts.capacity = options_.root_cache_capacity;
-    copts.store_models = options_.cache_store_models;
     cache_ = std::make_unique<core::RootCache>(copts);
   }
 }

@@ -192,10 +192,9 @@ class TuningService {
     /// (0 = no shared cache). Sessions of one recurrent job reuse each
     /// other's root fits; unrelated jobs sharing one service should keep
     /// this small or off (see the RootCache sharing contract in
-    /// core/lookahead.hpp). Trajectories are unaffected either way.
+    /// core/lookahead.hpp). The shared cache keeps root predictions, not
+    /// fitted models. Trajectories are unaffected either way.
     std::size_t root_cache_capacity = 0;
-    /// RootCache::Options::store_models for the shared cache.
-    bool cache_store_models = false;
     /// Workers of the throughput-mode scheduler (see "Throughput mode" in
     /// the file comment): 0 = FIFO event-loop service (the default,
     /// deterministic across sessions); > 0 enables run_throughput() with

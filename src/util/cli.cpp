@@ -1,21 +1,9 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace lynceus::util {
-
-bool env_flag(const char* name) noexcept {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return false;
-  std::string v(raw);
-  std::transform(v.begin(), v.end(), v.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return v == "1" || v == "true" || v == "on" || v == "yes";
-}
 
 CliFlags::CliFlags(int argc, const char* const* argv,
                    const std::vector<std::string>& spec) {

@@ -18,14 +18,6 @@
 
 namespace lynceus::util {
 
-/// True when the environment variable `name` is set to a truthy value
-/// ("1", "true", "on", "yes", case-insensitive); false when unset, empty,
-/// or anything else. Used for opt-in toggles that must reach every binary
-/// without per-tool flag plumbing (e.g. LYNCEUS_INCREMENTAL_REFIT, which
-/// flips the optimizers' incremental-refit default so CI can run the whole
-/// suite once with the flag on).
-[[nodiscard]] bool env_flag(const char* name) noexcept;
-
 class CliFlags {
  public:
   /// Parses `argv`. `spec` lists the accepted flag names (without dashes);

@@ -163,9 +163,8 @@ TEST_P(McGoldenTrajectory, EngineMatchesNaiveReferenceOneConstraint) {
     opts.lookahead = GetParam();
     opts.gh_points = 3;
     // Golden-trajectory guard: the flag-off path must stay bit-identical
-    // to the committed reference regardless of the
-    // LYNCEUS_INCREMENTAL_REFIT environment default (CI runs the suite
-    // once with it set).
+    // to the committed reference. Off is the default; set explicitly so
+    // the guard reads on its own.
     opts.incremental_refit = false;
 
     eval::TableRunner naive_runner(ds, energy_metrics());

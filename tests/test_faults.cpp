@@ -31,12 +31,22 @@ using service::RunPolicy;
 using service::SessionId;
 using service::SessionSpec;
 using service::TuningService;
+using lynceus::testing::session_spec;
 
 core::LynceusOptions fast_lynceus() {
   core::LynceusOptions opts;
   opts.lookahead = 0;
   opts.incremental_refit = false;
   return opts;
+}
+
+/// The session twin of fast_lynceus() (lookahead 0; incremental refit is
+/// inert without simulated branches).
+SessionSpec fast_lynceus_spec(const core::OptimizationProblem& problem,
+                              std::uint64_t seed) {
+  SessionSpec spec = session_spec("lynceus", problem, seed);
+  spec.lookahead = 0;
+  return spec;
 }
 
 /// Everything OptimizerResult carries, including the failure ledger.
@@ -302,7 +312,7 @@ TEST(RunPolicyTest, RetriesUseExponentialBackoffThenExhaust) {
   sopts.run_policy.backoff_multiplier = 3.0;
   sopts.run_policy.run_timeout_seconds = 123.0;
   TuningService service(sopts);
-  const SessionId id = service.open_session(SessionSpec::random(problem, 4));
+  const SessionId id = service.open_session(session_spec("random", problem, 4));
 
   const std::vector<PendingRun> batch = service.next_runs();
   ASSERT_GE(batch.size(), 2U);
@@ -354,7 +364,7 @@ TEST(RunPolicyTest, TellForRetryPendingConfigThrowsWithoutStateChange) {
   TuningService::Options sopts;
   sopts.run_policy.max_attempts = 2;
   TuningService service(sopts);
-  const SessionId id = service.open_session(SessionSpec::random(problem, 4));
+  const SessionId id = service.open_session(session_spec("random", problem, 4));
   const auto batch = service.next_runs();
   ASSERT_GE(batch.size(), 2U);
   RunResult failed;
@@ -389,7 +399,7 @@ TEST(RunPolicyTest, TmaxFactorCapsTheEffectiveTimeout) {
   sopts.run_policy.run_timeout_seconds = 1e9;
   sopts.run_policy.timeout_tmax_factor = 2.0;
   TuningService service(sopts);
-  (void)service.open_session(SessionSpec::random(problem, 4));
+  (void)service.open_session(session_spec("random", problem, 4));
   const auto batch = service.next_runs();
   ASSERT_FALSE(batch.empty());
   for (const PendingRun& run : batch) {
@@ -409,9 +419,10 @@ TEST(RunPolicyTest, QuarantineAfterConsecutiveFailures) {
   plan.fail_rate = 1.0;  // a broken runner: every attempt crashes
   async.set_fault_plan(plan);
 
-  const SessionId sick = service.open_session(SessionSpec::random(problem, 4));
+  const SessionId sick =
+      service.open_session(session_spec("random", problem, 4));
   const SessionId healthy =
-      service.open_session(SessionSpec::lynceus(problem, fast_lynceus(), 6));
+      service.open_session(fast_lynceus_spec(problem, 6));
   service::drain(service, async);
 
   EXPECT_TRUE(service.idle());
@@ -447,8 +458,7 @@ TEST(RunPolicyTest, ActivePolicyWithInertPlanKeepsTrajectoriesBitIdentical) {
   sopts.run_policy.quarantine_after = 2;
   TuningService service(sopts);
   eval::AsyncTableRunner async(ds);  // no fault plan
-  const SessionId id =
-      service.open_session(SessionSpec::lynceus(problem, opts, 23));
+  const SessionId id = service.open_session(fast_lynceus_spec(problem, 23));
   service::drain(service, async);
   ASSERT_TRUE(service.finished(id));
   EXPECT_FALSE(service.quarantined(id));
@@ -489,10 +499,9 @@ std::vector<SessionId> open_stormy_sessions(
     TuningService& service, const core::OptimizationProblem& problem) {
   std::vector<SessionId> ids;
   for (std::uint64_t seed = 11; seed <= 13; ++seed) {
-    ids.push_back(service.open_session(
-        SessionSpec::lynceus(problem, fast_lynceus(), seed)));
+    ids.push_back(service.open_session(fast_lynceus_spec(problem, seed)));
   }
-  ids.push_back(service.open_session(SessionSpec::random(problem, 11)));
+  ids.push_back(service.open_session(session_spec("random", problem, 11)));
   return ids;
 }
 
@@ -609,8 +618,7 @@ TEST(FaultReplay, CrashRecoveryDrillFinishesByteIdentically) {
   std::vector<SessionId> revived_ids;
   for (std::uint64_t seed = 11; seed <= 13; ++seed) {
     revived_ids.push_back(revived.restore_session(
-        SessionSpec::lynceus(problem, fast_lynceus(), seed),
-        journal.at(seed - 11)));
+        fast_lynceus_spec(problem, seed), journal.at(seed - 11)));
   }
   revived_ids.push_back(revived.restore(
       core::RandomSearch().make_stepper(problem, 11), journal.at(3)));
@@ -638,7 +646,7 @@ TuningService::Options retry_options() {
 std::string envelope_with_retry(std::vector<PendingRun>& batch) {
   const auto problem = lynceus::testing::tiny_problem();
   TuningService service(retry_options());
-  const SessionId id = service.open_session(SessionSpec::random(problem, 8));
+  const SessionId id = service.open_session(session_spec("random", problem, 8));
   batch = service.next_runs();
   EXPECT_GE(batch.size(), 2U);
   tell_first_failed(service, id, batch);
@@ -677,7 +685,8 @@ TEST(FaultReplay, SessionEnvelopeRoundTripsRetriesAndQuarantine) {
   TuningService::Options qopts;
   qopts.run_policy.quarantine_after = 1;
   TuningService qservice(qopts);
-  const SessionId qid = qservice.open_session(SessionSpec::random(problem, 8));
+  const SessionId qid =
+      qservice.open_session(session_spec("random", problem, 8));
   tell_first_failed(qservice, qid, qservice.next_runs());
   EXPECT_TRUE(qservice.next_runs().empty());
   ASSERT_TRUE(qservice.quarantined(qid));

@@ -10,6 +10,7 @@
 #include "cloud/dataset.hpp"
 #include "core/types.hpp"
 #include "eval/experiment.hpp"
+#include "service/session_spec.hpp"
 
 namespace lynceus::testing {
 
@@ -44,6 +45,18 @@ inline cloud::Dataset tiny_dataset() {
 inline core::OptimizationProblem tiny_problem(double b = 3.0) {
   static const cloud::Dataset ds = tiny_dataset();
   return eval::make_problem(ds, b);
+}
+
+/// A `kind` session over the in-process `problem`; callers set the knobs
+/// they pin on the returned spec's fields.
+inline service::SessionSpec session_spec(
+    const char* kind, const core::OptimizationProblem& problem,
+    std::uint64_t seed) {
+  service::SessionSpec spec;
+  spec.optimizer = kind;
+  spec.problem = &problem;
+  spec.seed = seed;
+  return spec;
 }
 
 }  // namespace lynceus::testing

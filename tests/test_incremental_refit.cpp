@@ -16,7 +16,8 @@
 ///     workloads — recommendation-quality (relative-regret) parity, not
 ///     id-by-id equality, which the flag deliberately does not promise;
 ///  3. guards: the flag-off path stays bit-identical to the references,
-///     engine-level defaults are env-independent, two flag-on runs are
+///     every knob default is off whatever the environment holds, two
+///     flag-on runs are
 ///     byte-identical, and a warm-started flag-on run through a
 ///     model-storing RootCache replays the cache-off trajectory exactly.
 
@@ -24,6 +25,8 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "cloud/workloads.hpp"
@@ -37,6 +40,7 @@
 #include "eval/runner.hpp"
 #include "model/bagging.hpp"
 #include "model/gp.hpp"
+#include "service/session_spec.hpp"
 #include "test_helpers.hpp"
 #include "util/alloc_count.hpp"
 #include "util/rng.hpp"
@@ -424,29 +428,77 @@ TEST(IncrementalRefitTrajectory, MultiConstraintParityVsNaiveReference) {
 // ---------------------------------------------------------------------------
 
 TEST(IncrementalRefitGuard, EngineDefaultsAreOffAndEnvIndependent) {
-  // The *engine* options are plain defaults — only the optimizer-level
-  // options read the environment toggle, so libraries embedding the
-  // engines directly can never be surprised by it.
+  // The engine options are plain defaults, like every knob above them
+  // (see KnobDefaultsIgnoreTheEnvironment).
   EXPECT_FALSE(LookaheadEngine::Options{}.incremental_refit);
   EXPECT_FALSE(MultiConstraintEngine::Options{}.incremental_refit);
 }
 
-TEST(IncrementalRefitGuard, EnvToggleDrivesOptimizerDefaults) {
-  const char* prior = std::getenv("LYNCEUS_INCREMENTAL_REFIT");
-  const std::string saved = prior != nullptr ? prior : "";
-
-  ::setenv("LYNCEUS_INCREMENTAL_REFIT", "1", 1);
-  EXPECT_TRUE(LynceusOptions{}.incremental_refit);
-  EXPECT_TRUE(MultiConstraintOptions{}.incremental_refit);
-  ::setenv("LYNCEUS_INCREMENTAL_REFIT", "0", 1);
-  EXPECT_FALSE(LynceusOptions{}.incremental_refit);
-  ::unsetenv("LYNCEUS_INCREMENTAL_REFIT");
-  EXPECT_FALSE(LynceusOptions{}.incremental_refit);
-  EXPECT_FALSE(MultiConstraintOptions{}.incremental_refit);
-
-  if (prior != nullptr) {
-    ::setenv("LYNCEUS_INCREMENTAL_REFIT", saved.c_str(), 1);
+/// Sets (or, with a null value, unsets) an environment variable for the
+/// guard's lifetime and restores the previous state afterwards.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* prior = std::getenv(name)) prior_ = prior;
+    if (value != nullptr) {
+      ::setenv(name, value, 1);
+    } else {
+      ::unsetenv(name);
+    }
   }
+  ~ScopedEnv() {
+    if (prior_) {
+      ::setenv(name_, prior_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> prior_;
+};
+
+// A spec document that leaves the refit knobs out must mean the same thing
+// in every process: the LYNCEUS_INCREMENTAL_REFIT / LYNCEUS_BRANCH_PARALLEL
+// variables, which once flipped these defaults, change nothing.
+TEST(IncrementalRefitGuard, KnobDefaultsIgnoreTheEnvironment) {
+  const std::string doc =
+      R"({"optimizer":"lynceus","seed":3,)"
+      R"("options":{"lookahead":1,"screen_width":24}})";
+  const cloud::Dataset scout = cloud::make_scout_datasets().front();
+  const auto problem = eval::make_problem(scout, 3.0);
+  const auto drive_doc = [&] {
+    service::SessionSpec spec = service::SessionSpec::from_json(doc);
+    spec.problem = &problem;
+    eval::TableRunner runner(scout);
+    return drive(*spec.make_stepper(nullptr, nullptr), runner);
+  };
+
+  OptimizerResult plain;
+  {
+    const ScopedEnv inc("LYNCEUS_INCREMENTAL_REFIT", nullptr);
+    const ScopedEnv branch("LYNCEUS_BRANCH_PARALLEL", nullptr);
+    plain = drive_doc();
+  }
+  const ScopedEnv inc("LYNCEUS_INCREMENTAL_REFIT", "1");
+  const ScopedEnv branch("LYNCEUS_BRANCH_PARALLEL", "1");
+  EXPECT_FALSE(LynceusOptions{}.incremental_refit);
+  EXPECT_FALSE(LynceusOptions{}.branch_parallel);
+  EXPECT_FALSE(MultiConstraintOptions{}.incremental_refit);
+  EXPECT_FALSE(MultiConstraintOptions{}.branch_parallel);
+  EXPECT_FALSE(service::SessionSpec{}.incremental_refit);
+  EXPECT_FALSE(service::SessionSpec{}.branch_parallel);
+  const service::SessionSpec parsed = service::SessionSpec::from_json(doc);
+  EXPECT_FALSE(parsed.incremental_refit);
+  EXPECT_FALSE(parsed.branch_parallel);
+
+  const OptimizerResult under_env = drive_doc();
+  EXPECT_EQ(history_ids(under_env), history_ids(plain));
+  EXPECT_EQ(under_env.budget_spent, plain.budget_spent);
+  EXPECT_EQ(under_env.recommendation, plain.recommendation);
 }
 
 // The default-path guard proper: with the flag explicitly off, the

@@ -165,14 +165,19 @@ TEST(NetService, MixedOptimizerKindsOverTheWireMatchSolo) {
 
   std::vector<std::uint64_t> ids;
   std::vector<std::function<OptimizerResult()>> solos;
-  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+  // Seeds 1 and 2, each with scratch and with incremental refit.
+  for (std::uint64_t k = 0; k < 4; ++k) {
+    const std::uint64_t seed = 1 + k % 2;
+    const bool incremental = k >= 2;
     service::SessionSpec ly = remote_lynceus_spec(seed);
     ly.lookahead = 1;
+    ly.incremental_refit = incremental;
     ids.push_back(client.open(ly));
-    solos.push_back([&, seed] {
+    solos.push_back([&, seed, incremental] {
       eval::TableRunner solo(ds, tiny_metrics());
       core::LynceusOptions o = lynceus_options_for(seed);
       o.lookahead = 1;
+      o.incremental_refit = incremental;
       auto stepper = core::LynceusOptimizer(o).make_stepper(problem, seed);
       return core::drive(*stepper, solo);
     });
@@ -182,7 +187,7 @@ TEST(NetService, MixedOptimizerKindsOverTheWireMatchSolo) {
     mc.seed = seed;
     mc.problem_ref = service::ProblemRef{"test", "tinybowl", 3.0};
     mc.lookahead = 1;
-    mc.incremental_refit = false;
+    mc.incremental_refit = incremental;
     mc.branch_parallel = false;
     service::ConstraintSpec cs;
     cs.name = "energy";
@@ -190,11 +195,11 @@ TEST(NetService, MixedOptimizerKindsOverTheWireMatchSolo) {
     cs.threshold = 26.0;
     mc.constraints.push_back(cs);
     ids.push_back(client.open(mc));
-    solos.push_back([&, seed] {
+    solos.push_back([&, seed, incremental] {
       eval::TableRunner solo(ds, tiny_metrics());
       core::MultiConstraintOptions o;
       o.lookahead = 1;
-      o.incremental_refit = false;
+      o.incremental_refit = incremental;
       o.branch_parallel = false;
       auto stepper = core::MultiConstraintLynceus({tiny_constraint(26.0)}, o)
                          .make_stepper(problem, seed);
@@ -240,47 +245,52 @@ TEST(NetService, SnapshotRestoreOverTheWireFinishesByteIdentically) {
   TuningServer server;
   server.register_problem("test", "tinybowl", problem);
 
-  service::SessionSpec spec = remote_lynceus_spec(23);
-  spec.lookahead = 1;
+  for (const bool incremental : {false, true}) {
+    SCOPED_TRACE(incremental ? "incremental refit" : "scratch refit");
+    service::SessionSpec spec = remote_lynceus_spec(23);
+    spec.lookahead = 1;
+    spec.incremental_refit = incremental;
 
-  eval::TableRunner solo(ds);
-  core::LynceusOptions o = lynceus_options_for(23);
-  o.lookahead = 1;
-  auto ref = core::LynceusOptimizer(o).make_stepper(problem, 23);
-  const OptimizerResult golden = core::drive(*ref, solo);
+    eval::TableRunner solo(ds);
+    core::LynceusOptions o = lynceus_options_for(23);
+    o.lookahead = 1;
+    o.incremental_refit = incremental;
+    auto ref = core::LynceusOptimizer(o).make_stepper(problem, 23);
+    const OptimizerResult golden = core::drive(*ref, solo);
 
-  // Resolve half of the bootstrap batch, snapshot mid-flight, hang up.
-  std::string snap;
-  {
-    TuningClient client("127.0.0.1", server.port());
-    const std::uint64_t id = client.open(spec);
-    std::vector<service::PendingRun> batch;
-    for (std::size_t i = 0; i < problem.bootstrap_samples; ++i) {
-      const auto run = client.take_run(/*wait=*/true);
-      ASSERT_TRUE(run.has_value());
-      batch.push_back(*run);
+    // Resolve half of the bootstrap batch, snapshot mid-flight, hang up.
+    std::string snap;
+    {
+      TuningClient client("127.0.0.1", server.port());
+      const std::uint64_t id = client.open(spec);
+      std::vector<service::PendingRun> batch;
+      for (std::size_t i = 0; i < problem.bootstrap_samples; ++i) {
+        const auto run = client.take_run(/*wait=*/true);
+        ASSERT_TRUE(run.has_value());
+        batch.push_back(*run);
+      }
+      for (std::size_t i = 0; i < problem.bootstrap_samples / 2; ++i) {
+        core::RunResult r;
+        r.runtime_seconds = ds.observation(batch[i].config).runtime_seconds;
+        r.cost = ds.observation(batch[i].config).cost();
+        const auto status = client.tell(id, batch[i].config, r);
+        ASSERT_FALSE(status.finished);
+      }
+      snap = client.snapshot(id);
+      client.close_session(id);
     }
-    for (std::size_t i = 0; i < problem.bootstrap_samples / 2; ++i) {
-      core::RunResult r;
-      r.runtime_seconds = ds.observation(batch[i].config).runtime_seconds;
-      r.cost = ds.observation(batch[i].config).cost();
-      const auto status = client.tell(id, batch[i].config, r);
-      ASSERT_FALSE(status.finished);
-    }
-    snap = client.snapshot(id);
-    client.close_session(id);
+
+    // Restore on a fresh connection: the still-in-flight half is
+    // re-pushed, the told half is not, and the trajectory lands exactly on
+    // the solo run's bytes.
+    TuningClient revived("127.0.0.1", server.port());
+    const std::uint64_t rid = revived.restore(spec, snap);
+    eval::AsyncTableRunner runner(ds);
+    revived.drain(runner);
+    const TuningClient::ResultReply reply = revived.result(rid);
+    ASSERT_TRUE(reply.finished);
+    expect_identical(reply.result, golden);
   }
-
-  // Restore on a fresh connection: the still-in-flight half is re-pushed,
-  // the told half is not, and the trajectory lands exactly on the solo
-  // run's bytes.
-  TuningClient revived("127.0.0.1", server.port());
-  const std::uint64_t rid = revived.restore(spec, snap);
-  eval::AsyncTableRunner runner(ds);
-  revived.drain(runner);
-  const TuningClient::ResultReply reply = revived.result(rid);
-  ASSERT_TRUE(reply.finished);
-  expect_identical(reply.result, golden);
 }
 
 TEST(NetService, SequentialSessionIdsPartitionEvenlyAcrossShards) {

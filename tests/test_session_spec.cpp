@@ -170,13 +170,13 @@ void pump(TuningService& service, eval::AsyncTableRunner& async) {
 TEST(SessionSpec, WireRoundTrippedSpecProducesIdenticalTrajectory) {
   const auto ds = lynceus::testing::tiny_dataset();
   const auto problem = lynceus::testing::tiny_problem();
-  core::LynceusOptions lopts;
-  lopts.lookahead = 1;
-  lopts.incremental_refit = false;
 
   TuningService service;
   eval::AsyncTableRunner async(ds);
-  SessionSpec spec = SessionSpec::lynceus(problem, lopts, 41);
+  SessionSpec spec;
+  spec.problem = &problem;
+  spec.seed = 41;
+  spec.lookahead = 1;
   const SessionId via_spec = service.open_session(spec);
   // A spec that went through the JSON codec (as a wire frame would) must
   // land on the same trajectory as the in-process one.

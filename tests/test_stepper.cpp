@@ -81,17 +81,20 @@ std::vector<Case> identity_cases() {
     }
   }
   for (unsigned la = 0; la <= 1; ++la) {
-    Case c;
-    c.label = "mc_la" + std::to_string(la);
-    c.make = [la](const OptimizationProblem& p, std::uint64_t seed) {
-      MultiConstraintOptions opts;
-      opts.lookahead = la;
-      opts.incremental_refit = false;
-      return MultiConstraintLynceus({tiny_constraint(26.0)}, opts)
-          .make_stepper(p, seed);
-    };
-    c.needs_metrics = true;
-    cases.push_back(std::move(c));
+    for (const bool incremental : {false, true}) {
+      Case c;
+      c.label = "mc_la" + std::to_string(la) + (incremental ? "_inc" : "");
+      c.make = [la, incremental](const OptimizationProblem& p,
+                                 std::uint64_t seed) {
+        MultiConstraintOptions opts;
+        opts.lookahead = la;
+        opts.incremental_refit = incremental;
+        return MultiConstraintLynceus({tiny_constraint(26.0)}, opts)
+            .make_stepper(p, seed);
+      };
+      c.needs_metrics = true;
+      cases.push_back(std::move(c));
+    }
   }
   {
     Case c;
@@ -180,47 +183,55 @@ TEST(StepperIdentity, WarmStartPriorsSkipStraightToDecisions) {
     s.feasible = true;
     problem.prior_samples.push_back(s);
   }
-  LynceusOptions opts;
-  opts.lookahead = 1;
-  // Identity against the closed loop.
-  eval::TableRunner r1(ds);
-  const auto golden = LynceusOptimizer(opts).optimize(problem, r1, 11);
-  auto stepper = LynceusOptimizer(opts).make_stepper(problem, 11);
-  const StepAction& action = stepper->ask();
-  // First ask is already a decision (single config), not the LHS batch.
-  if (action.kind == StepAction::Kind::Profile) {
-    EXPECT_EQ(action.configs.size(), 1U);
+  for (const bool incremental : {false, true}) {
+    SCOPED_TRACE(incremental ? "incremental refit" : "scratch refit");
+    LynceusOptions opts;
+    opts.lookahead = 1;
+    opts.incremental_refit = incremental;
+    // Identity against the closed loop.
+    eval::TableRunner r1(ds);
+    const auto golden = LynceusOptimizer(opts).optimize(problem, r1, 11);
+    auto stepper = LynceusOptimizer(opts).make_stepper(problem, 11);
+    const StepAction& action = stepper->ask();
+    // First ask is already a decision (single config), not the LHS batch.
+    if (action.kind == StepAction::Kind::Profile) {
+      EXPECT_EQ(action.configs.size(), 1U);
+    }
+    eval::TableRunner r2(ds);
+    while (!stepper->finished()) {
+      const StepAction& a = stepper->ask();
+      if (a.kind == StepAction::Kind::Finished) break;
+      for (ConfigId id : a.configs) stepper->tell(id, r2.run(id));
+    }
+    expect_identical(stepper->result(), golden);
   }
-  eval::TableRunner r2(ds);
-  while (!stepper->finished()) {
-    const StepAction& a = stepper->ask();
-    if (a.kind == StepAction::Kind::Finished) break;
-    for (ConfigId id : a.configs) stepper->tell(id, r2.run(id));
-  }
-  expect_identical(stepper->result(), golden);
 }
 
 TEST(StepperIdentity, SetupCostAndEarlyStopVariantsMatch) {
   const auto ds = testing::tiny_dataset();
   const auto problem = testing::tiny_problem();
-  for (const bool with_setup : {false, true}) {
-    for (const double ei_stop : {0.0, 0.05}) {
-      LynceusOptions opts;
-      opts.lookahead = 1;
-      opts.ei_stop_fraction = ei_stop;
-      if (with_setup) {
-        opts.setup_cost = [](std::optional<ConfigId> from, ConfigId to) {
-          return from.has_value() && *from != to ? 0.01 : 0.0;
-        };
+  for (const bool incremental : {false, true}) {
+    for (const bool with_setup : {false, true}) {
+      for (const double ei_stop : {0.0, 0.05}) {
+        LynceusOptions opts;
+        opts.lookahead = 1;
+        opts.incremental_refit = incremental;
+        opts.ei_stop_fraction = ei_stop;
+        if (with_setup) {
+          opts.setup_cost = [](std::optional<ConfigId> from, ConfigId to) {
+            return from.has_value() && *from != to ? 0.01 : 0.0;
+          };
+        }
+        SCOPED_TRACE((with_setup ? "setup" : "no-setup") +
+                     std::string(" ei=") + std::to_string(ei_stop) +
+                     (incremental ? " incremental" : ""));
+        eval::TableRunner r1(ds);
+        eval::TableRunner r2(ds);
+        LynceusOptimizer lyn(opts);
+        const auto golden = lyn.optimize(problem, r1, 9);
+        auto stepper = lyn.make_stepper(problem, 9);
+        expect_identical(drive(*stepper, r2), golden);
       }
-      SCOPED_TRACE((with_setup ? "setup" : "no-setup") +
-                   std::string(" ei=") + std::to_string(ei_stop));
-      eval::TableRunner r1(ds);
-      eval::TableRunner r2(ds);
-      LynceusOptimizer lyn(opts);
-      const auto golden = lyn.optimize(problem, r1, 9);
-      auto stepper = lyn.make_stepper(problem, 9);
-      expect_identical(drive(*stepper, r2), golden);
     }
   }
 }
@@ -300,23 +311,27 @@ TEST(StepperIdentity, ObserverSeesSameEventStreamAsClosedLoop) {
 TEST(StepperIdentity, MultiConstraintObserverFiresAndTrajectoryUnchanged) {
   const auto ds = testing::tiny_dataset();
   const auto problem = testing::tiny_problem();
-  MultiConstraintOptions plain;
-  plain.lookahead = 1;
-  eval::TableRunner r1(ds, tiny_metrics());
-  const auto golden = MultiConstraintLynceus({tiny_constraint(26.0)}, plain)
-                          .optimize(problem, r1, 4);
+  for (const bool incremental : {false, true}) {
+    SCOPED_TRACE(incremental ? "incremental refit" : "scratch refit");
+    MultiConstraintOptions plain;
+    plain.lookahead = 1;
+    plain.incremental_refit = incremental;
+    eval::TableRunner r1(ds, tiny_metrics());
+    const auto golden = MultiConstraintLynceus({tiny_constraint(26.0)}, plain)
+                            .optimize(problem, r1, 4);
 
-  TraceRecorder trace;
-  MultiConstraintOptions observed = plain;
-  observed.observer = &trace;
-  eval::TableRunner r2(ds, tiny_metrics());
-  const auto traced =
-      MultiConstraintLynceus({tiny_constraint(26.0)}, observed)
-          .optimize(problem, r2, 4);
-  expect_identical(traced, golden);
-  EXPECT_EQ(trace.bootstrap_samples().size(), problem.bootstrap_samples);
-  EXPECT_EQ(trace.runs().size(),
-            golden.history.size() - problem.bootstrap_samples);
+    TraceRecorder trace;
+    MultiConstraintOptions observed = plain;
+    observed.observer = &trace;
+    eval::TableRunner r2(ds, tiny_metrics());
+    const auto traced =
+        MultiConstraintLynceus({tiny_constraint(26.0)}, observed)
+            .optimize(problem, r2, 4);
+    expect_identical(traced, golden);
+    EXPECT_EQ(trace.bootstrap_samples().size(), problem.bootstrap_samples);
+    EXPECT_EQ(trace.runs().size(),
+              golden.history.size() - problem.bootstrap_samples);
+  }
 }
 
 // ---------------------------------------------------------------------------

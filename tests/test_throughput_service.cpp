@@ -26,6 +26,7 @@ namespace {
 
 using core::ConfigId;
 using core::OptimizerResult;
+using lynceus::testing::session_spec;
 
 double tiny_energy(const space::ConfigSpace& sp, ConfigId id) {
   return 10.0 + 4.0 * sp.value(id, 0) + 3.0 * sp.value(id, 1);
@@ -106,11 +107,9 @@ TEST(ThroughputService, SixtyFourSessionsMatchTheirSoloRuns) {
 
   std::vector<SessionId> ids;
   for (std::uint64_t seed = 1; seed <= 64; ++seed) {
-    core::LynceusOptions opts;
-    opts.lookahead = seed % 2 == 0 ? 1U : 0U;
-    opts.incremental_refit = false;
-    ids.push_back(
-        service.open_session(SessionSpec::lynceus(problem, opts, seed)));
+    SessionSpec spec = session_spec("lynceus", problem, seed);
+    spec.lookahead = seed % 2 == 0 ? 1U : 0U;
+    ids.push_back(service.open_session(spec));
   }
   drain(service, async);  // dispatches to run_throughput
 
@@ -132,58 +131,67 @@ TEST(ThroughputService, MixedOptimizerKindsMatchTheirSoloRuns) {
   const auto ds = lynceus::testing::tiny_dataset();
   const auto problem = lynceus::testing::tiny_problem();
 
-  TuningService service(throughput_options(3));
-  eval::AsyncTableRunner async(ds, tiny_metrics());
+  for (const bool incremental : {false, true}) {
+    SCOPED_TRACE(incremental ? "incremental refit" : "scratch refit");
+    TuningService service(throughput_options(3));
+    eval::AsyncTableRunner async(ds, tiny_metrics());
 
-  std::vector<SessionId> ids;
-  std::vector<std::function<OptimizerResult()>> solos;
-  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
-    core::LynceusOptions lopts;
-    lopts.lookahead = 1;
-    lopts.incremental_refit = false;
-    ids.push_back(
-        service.open_session(SessionSpec::lynceus(problem, lopts, seed)));
-    solos.push_back([&, lopts, seed] {
-      eval::TableRunner solo(ds, tiny_metrics());
-      auto stepper = core::LynceusOptimizer(lopts).make_stepper(problem, seed);
-      return core::drive(*stepper, solo);
-    });
+    std::vector<SessionId> ids;
+    std::vector<std::function<OptimizerResult()>> solos;
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      core::LynceusOptions lopts;
+      lopts.lookahead = 1;
+      lopts.incremental_refit = incremental;
+      SessionSpec ly = session_spec("lynceus", problem, seed);
+      ly.lookahead = 1;
+      ly.incremental_refit = incremental;
+      ids.push_back(service.open_session(ly));
+      solos.push_back([&, lopts, seed] {
+        eval::TableRunner solo(ds, tiny_metrics());
+        auto stepper =
+            core::LynceusOptimizer(lopts).make_stepper(problem, seed);
+        return core::drive(*stepper, solo);
+      });
 
-    core::MultiConstraintOptions mopts;
-    mopts.lookahead = 1;
-    mopts.incremental_refit = false;
-    ids.push_back(service.open_session(SessionSpec::multi_constraint(
-        problem, {tiny_constraint(26.0)}, mopts, seed)));
-    solos.push_back([&, mopts, seed] {
-      eval::TableRunner solo(ds, tiny_metrics());
-      auto stepper = core::MultiConstraintLynceus({tiny_constraint(26.0)},
-                                                  mopts)
-                         .make_stepper(problem, seed);
-      return core::drive(*stepper, solo);
-    });
+      core::MultiConstraintOptions mopts;
+      mopts.lookahead = 1;
+      mopts.incremental_refit = incremental;
+      SessionSpec mc = session_spec("multi_constraint", problem, seed);
+      mc.lookahead = 1;
+      mc.incremental_refit = incremental;
+      mc.constraints.push_back({"energy", 0, 26.0, nullptr});
+      ids.push_back(service.open_session(mc));
+      solos.push_back([&, mopts, seed] {
+        eval::TableRunner solo(ds, tiny_metrics());
+        auto stepper = core::MultiConstraintLynceus({tiny_constraint(26.0)},
+                                                    mopts)
+                           .make_stepper(problem, seed);
+        return core::drive(*stepper, solo);
+      });
 
-    ids.push_back(service.open_session(
-        SessionSpec::bo(problem, core::BoOptions{}, seed)));
-    solos.push_back([&, seed] {
-      eval::TableRunner solo(ds, tiny_metrics());
-      auto stepper = core::BayesianOptimizer().make_stepper(problem, seed);
-      return core::drive(*stepper, solo);
-    });
+      ids.push_back(service.open_session(session_spec("bo", problem, seed)));
+      solos.push_back([&, seed] {
+        eval::TableRunner solo(ds, tiny_metrics());
+        auto stepper = core::BayesianOptimizer().make_stepper(problem, seed);
+        return core::drive(*stepper, solo);
+      });
 
-    ids.push_back(service.open_session(SessionSpec::random(problem, seed)));
-    solos.push_back([&, seed] {
-      eval::TableRunner solo(ds, tiny_metrics());
-      auto stepper = core::RandomSearch().make_stepper(problem, seed);
-      return core::drive(*stepper, solo);
-    });
-  }
+      ids.push_back(
+          service.open_session(session_spec("random", problem, seed)));
+      solos.push_back([&, seed] {
+        eval::TableRunner solo(ds, tiny_metrics());
+        auto stepper = core::RandomSearch().make_stepper(problem, seed);
+        return core::drive(*stepper, solo);
+      });
+    }
 
-  drain(service, async);
+    drain(service, async);
 
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    SCOPED_TRACE("session " + std::to_string(ids[i]));
-    ASSERT_TRUE(service.finished(ids[i]));
-    expect_identical(service.result(ids[i]), solos[i]());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      SCOPED_TRACE("session " + std::to_string(ids[i]));
+      ASSERT_TRUE(service.finished(ids[i]));
+      expect_identical(service.result(ids[i]), solos[i]());
+    }
   }
 }
 
@@ -236,11 +244,9 @@ TEST(ThroughputService, FaultyRunsMatchFifoModeByteForByte) {
     async.set_fault_plan(plan);
     std::vector<SessionId> ids;
     for (std::uint64_t seed = 21; seed <= 28; ++seed) {
-      core::LynceusOptions opts;
-      opts.lookahead = seed % 2;
-      opts.incremental_refit = false;
-      ids.push_back(
-          service.open_session(SessionSpec::lynceus(problem, opts, seed)));
+      SessionSpec spec = session_spec("lynceus", problem, seed);
+      spec.lookahead = static_cast<unsigned>(seed % 2);
+      ids.push_back(service.open_session(spec));
     }
     if (feed == Feed::kFifoReversed) {
       drain_reversed(service, async);
@@ -299,7 +305,8 @@ TEST(ThroughputService, FailEverythingQuarantinesIdenticallyToFifo) {
     async.set_fault_plan(plan);
     std::vector<SessionId> ids;
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-      ids.push_back(service.open_session(SessionSpec::random(problem, seed)));
+      ids.push_back(
+          service.open_session(session_spec("random", problem, seed)));
     }
     drain(service, async);
     return std::make_pair(std::move(service), std::move(ids));
@@ -333,7 +340,7 @@ TEST(ThroughputService, UncappedHangsStallCleanly) {
   async.set_fault_plan(plan);
   std::vector<SessionId> ids;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    ids.push_back(service.open_session(SessionSpec::random(problem, seed)));
+    ids.push_back(service.open_session(session_spec("random", problem, seed)));
   }
   drain(service, async);  // must return despite nothing ever completing
 
@@ -364,13 +371,16 @@ TEST(ThroughputService, JournaledSessionsRestoreIntoEitherMode) {
   TuningService service(o);
   eval::AsyncTableRunner async(ds);
 
-  core::LynceusOptions opts;
-  opts.lookahead = 1;
-  opts.incremental_refit = false;
+  // Sessions 31..34 refit from scratch, 35..38 incrementally.
+  const auto spec_of = [&](std::uint64_t seed) {
+    SessionSpec spec = session_spec("lynceus", problem, seed);
+    spec.lookahead = 1;
+    spec.incremental_refit = seed > 34;
+    return spec;
+  };
   std::vector<SessionId> ids;
   for (std::uint64_t seed = 31; seed <= 38; ++seed) {
-    ids.push_back(
-        service.open_session(SessionSpec::lynceus(problem, opts, seed)));
+    ids.push_back(service.open_session(spec_of(seed)));
   }
   drain(service, async);
 
@@ -383,15 +393,15 @@ TEST(ThroughputService, JournaledSessionsRestoreIntoEitherMode) {
     // The final envelope restores to the finished state in FIFO mode…
     TuningService fifo;
     eval::AsyncTableRunner a1(ds);
-    const SessionId r1 = fifo.restore_session(
-        SessionSpec::lynceus(problem, opts, seed), last_envelope[ids[i]]);
+    const SessionId r1 =
+        fifo.restore_session(spec_of(seed), last_envelope[ids[i]]);
     drain(fifo, a1);
     expect_identical(fifo.result(r1), service.result(ids[i]));
     // …and in throughput mode.
     TuningService tp(throughput_options(2));
     eval::AsyncTableRunner a2(ds);
-    const SessionId r2 = tp.restore_session(
-        SessionSpec::lynceus(problem, opts, seed), last_envelope[ids[i]]);
+    const SessionId r2 =
+        tp.restore_session(spec_of(seed), last_envelope[ids[i]]);
     drain(tp, a2);
     expect_identical(tp.result(r2), service.result(ids[i]));
   }
@@ -417,11 +427,9 @@ TEST(ThroughputService, RestoresFifoEnvelopeWithQueuedRetries) {
   eval::AsyncTableRunner async(ds);
   async.set_fault_plan(plan);
 
-  core::LynceusOptions opts;
-  opts.lookahead = 0;
-  opts.incremental_refit = false;
-  const SessionId id =
-      fifo.open_session(SessionSpec::lynceus(problem, opts, 21));
+  SessionSpec spec = session_spec("lynceus", problem, 21);
+  spec.lookahead = 0;
+  const SessionId id = fifo.open_session(spec);
 
   // Drive FIFO until an applied wave retries a run, then snapshot that
   // envelope.
@@ -445,8 +453,7 @@ TEST(ThroughputService, RestoresFifoEnvelopeWithQueuedRetries) {
   TuningService tp(throughput_options(2));
   eval::AsyncTableRunner a2(ds);
   a2.set_fault_plan(plan);
-  const SessionId rid =
-      tp.restore_session(SessionSpec::lynceus(problem, opts, 21), envelope);
+  const SessionId rid = tp.restore_session(spec, envelope);
   drain(tp, a2);
   ASSERT_TRUE(tp.finished(rid));
   expect_identical(tp.result(rid), fifo.result(id));

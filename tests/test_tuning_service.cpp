@@ -16,6 +16,7 @@ namespace {
 
 using core::ConfigId;
 using core::OptimizerResult;
+using lynceus::testing::session_spec;
 
 double tiny_energy(const space::ConfigSpace& sp, ConfigId id) {
   return 10.0 + 4.0 * sp.value(id, 0) + 3.0 * sp.value(id, 1);
@@ -71,60 +72,70 @@ TEST(TuningService, EightMixedSessionsMatchTheirSoloRuns) {
   const auto ds = lynceus::testing::tiny_dataset();
   const auto problem = lynceus::testing::tiny_problem();
 
-  TuningService service;
-  eval::AsyncTableRunner async(ds, tiny_metrics());
+  for (const bool incremental : {false, true}) {
+    SCOPED_TRACE(incremental ? "incremental refit" : "scratch refit");
+    TuningService service;
+    eval::AsyncTableRunner async(ds, tiny_metrics());
 
-  // 8 sessions across all four optimizer kinds and distinct seeds.
-  std::vector<SessionId> ids;
-  std::vector<std::function<OptimizerResult()>> solos;
-  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
-    core::LynceusOptions lopts;
-    lopts.lookahead = 1;
-    lopts.incremental_refit = false;
-    ids.push_back(service.open_session(SessionSpec::lynceus(problem, lopts, seed)));
-    solos.push_back([&, lopts, seed] {
-      eval::TableRunner solo(ds, tiny_metrics());
-      auto stepper =
-          core::LynceusOptimizer(lopts).make_stepper(problem, seed);
-      return core::drive(*stepper, solo);
-    });
+    // 8 sessions across all four optimizer kinds and distinct seeds.
+    std::vector<SessionId> ids;
+    std::vector<std::function<OptimizerResult()>> solos;
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      core::LynceusOptions lopts;
+      lopts.lookahead = 1;
+      lopts.incremental_refit = incremental;
+      SessionSpec ly = session_spec("lynceus", problem, seed);
+      ly.lookahead = 1;
+      ly.incremental_refit = incremental;
+      ids.push_back(service.open_session(ly));
+      solos.push_back([&, lopts, seed] {
+        eval::TableRunner solo(ds, tiny_metrics());
+        auto stepper =
+            core::LynceusOptimizer(lopts).make_stepper(problem, seed);
+        return core::drive(*stepper, solo);
+      });
 
-    core::MultiConstraintOptions mopts;
-    mopts.lookahead = 1;
-    mopts.incremental_refit = false;
-    ids.push_back(service.open_session(SessionSpec::multi_constraint(
-        problem, {tiny_constraint(26.0)}, mopts, seed)));
-    solos.push_back([&, mopts, seed] {
-      eval::TableRunner solo(ds, tiny_metrics());
-      auto stepper =
-          core::MultiConstraintLynceus({tiny_constraint(26.0)}, mopts)
-              .make_stepper(problem, seed);
-      return core::drive(*stepper, solo);
-    });
+      core::MultiConstraintOptions mopts;
+      mopts.lookahead = 1;
+      mopts.incremental_refit = incremental;
+      SessionSpec mc = session_spec("multi_constraint", problem, seed);
+      mc.lookahead = 1;
+      mc.incremental_refit = incremental;
+      mc.constraints.push_back({"energy", 0, 26.0, nullptr});
+      ids.push_back(service.open_session(mc));
+      solos.push_back([&, mopts, seed] {
+        eval::TableRunner solo(ds, tiny_metrics());
+        auto stepper =
+            core::MultiConstraintLynceus({tiny_constraint(26.0)}, mopts)
+                .make_stepper(problem, seed);
+        return core::drive(*stepper, solo);
+      });
 
-    ids.push_back(service.open_session(SessionSpec::bo(problem, core::BoOptions{}, seed)));
-    solos.push_back([&, seed] {
-      eval::TableRunner solo(ds, tiny_metrics());
-      auto stepper = core::BayesianOptimizer().make_stepper(problem, seed);
-      return core::drive(*stepper, solo);
-    });
+      ids.push_back(service.open_session(session_spec("bo", problem, seed)));
+      solos.push_back([&, seed] {
+        eval::TableRunner solo(ds, tiny_metrics());
+        auto stepper = core::BayesianOptimizer().make_stepper(problem, seed);
+        return core::drive(*stepper, solo);
+      });
 
-    ids.push_back(service.open_session(SessionSpec::random(problem, seed)));
-    solos.push_back([&, seed] {
-      eval::TableRunner solo(ds, tiny_metrics());
-      auto stepper = core::RandomSearch().make_stepper(problem, seed);
-      return core::drive(*stepper, solo);
-    });
-  }
-  ASSERT_EQ(service.session_count(), 8U);
+      ids.push_back(
+          service.open_session(session_spec("random", problem, seed)));
+      solos.push_back([&, seed] {
+        eval::TableRunner solo(ds, tiny_metrics());
+        auto stepper = core::RandomSearch().make_stepper(problem, seed);
+        return core::drive(*stepper, solo);
+      });
+    }
+    ASSERT_EQ(service.session_count(), 8U);
 
-  pump(service, async);
+    pump(service, async);
 
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    SCOPED_TRACE("session " + std::to_string(ids[i]));
-    ASSERT_TRUE(service.finished(ids[i]));
-    EXPECT_FALSE(service.stop_reason(ids[i]).empty());
-    expect_identical(service.result(ids[i]), solos[i]());
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      SCOPED_TRACE("session " + std::to_string(ids[i]));
+      ASSERT_TRUE(service.finished(ids[i]));
+      EXPECT_FALSE(service.stop_reason(ids[i]).empty());
+      expect_identical(service.result(ids[i]), solos[i]());
+    }
   }
 }
 
@@ -141,10 +152,9 @@ TEST(TuningService, SixtyFourInterleavedSessionsMatchTheirSoloRuns) {
 
   std::vector<SessionId> ids;
   for (std::uint64_t seed = 1; seed <= 64; ++seed) {
-    core::LynceusOptions opts;
-    opts.lookahead = seed % 2 == 0 ? 1U : 0U;
-    opts.incremental_refit = false;
-    ids.push_back(service.open_session(SessionSpec::lynceus(problem, opts, seed)));
+    SessionSpec spec = session_spec("lynceus", problem, seed);
+    spec.lookahead = seed % 2 == 0 ? 1U : 0U;
+    ids.push_back(service.open_session(spec));
   }
   ASSERT_EQ(service.session_count(), 64U);
 
@@ -178,9 +188,11 @@ TEST(TuningService, SharedCacheHitsAcrossIdenticalSessionsKeepTrajectories) {
   core::LynceusOptions opts;
   opts.lookahead = 1;
   opts.incremental_refit = false;
+  SessionSpec spec = session_spec("lynceus", problem, 17);
+  spec.lookahead = 1;
   std::vector<SessionId> ids;
   for (int i = 0; i < 4; ++i) {
-    ids.push_back(service.open_session(SessionSpec::lynceus(problem, opts, 17)));
+    ids.push_back(service.open_session(spec));
   }
   pump(service, async);
 
@@ -200,7 +212,8 @@ TEST(TuningService, RoundRobinSchedulingIsDeterministic) {
     TuningService service;
     std::vector<SessionId> opened;
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-      opened.push_back(service.open_session(SessionSpec::random(problem, seed)));
+      opened.push_back(
+          service.open_session(session_spec("random", problem, seed)));
     }
     std::vector<SessionId> order;
     for (const PendingRun& run : service.next_runs()) {
@@ -224,7 +237,7 @@ TEST(TuningService, MaxRunsCapsTheSweepAndKeepsSessionsQueued) {
   const auto problem = lynceus::testing::tiny_problem();
   TuningService service;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    (void)service.open_session(SessionSpec::random(problem, seed));
+    (void)service.open_session(session_spec("random", problem, seed));
   }
   // One session's bootstrap batch at a time.
   const auto first = service.next_runs(1);
@@ -252,38 +265,44 @@ TEST(TuningService, MaxRunsCapsTheSweepAndKeepsSessionsQueued) {
 TEST(TuningService, SnapshotRestoreMidFlightFinishesByteIdentically) {
   const auto ds = lynceus::testing::tiny_dataset();
   const auto problem = lynceus::testing::tiny_problem();
-  core::LynceusOptions opts;
-  opts.lookahead = 1;
-  opts.incremental_refit = false;
+  for (const bool incremental : {false, true}) {
+    SCOPED_TRACE(incremental ? "incremental refit" : "scratch refit");
+    core::LynceusOptions opts;
+    opts.lookahead = 1;
+    opts.incremental_refit = incremental;
+    SessionSpec spec = session_spec("lynceus", problem, 23);
+    spec.lookahead = 1;
+    spec.incremental_refit = incremental;
 
-  eval::TableRunner solo(ds);
-  auto ref = core::LynceusOptimizer(opts).make_stepper(problem, 23);
-  const OptimizerResult golden = core::drive(*ref, solo);
+    eval::TableRunner solo(ds);
+    auto ref = core::LynceusOptimizer(opts).make_stepper(problem, 23);
+    const OptimizerResult golden = core::drive(*ref, solo);
 
-  TuningService service;
-  eval::AsyncTableRunner async(ds);
-  const SessionId id = service.open_session(SessionSpec::lynceus(problem, opts, 23));
-  // Launch the bootstrap, resolve half of it, snapshot mid-flight.
-  for (const auto& run : service.next_runs()) {
-    async.submit(run.session, run.config);
+    TuningService service;
+    eval::AsyncTableRunner async(ds);
+    const SessionId id = service.open_session(spec);
+    // Launch the bootstrap, resolve half of it, snapshot mid-flight.
+    for (const auto& run : service.next_runs()) {
+      async.submit(run.session, run.config);
+    }
+    for (std::size_t i = 0; i < problem.bootstrap_samples / 2; ++i) {
+      const auto c = async.next_completion();
+      ASSERT_TRUE(c.has_value());
+      service.tell(c->tag, c->config, c->result);
+    }
+    const std::string snap = service.snapshot(id);
+    service.close(id);
+
+    // Restore into a second service instance (fresh process in spirit).
+    // Told results wait in the session's incomplete wave, outside the
+    // stepper snapshot, so every run of the batch is re-asked for.
+    TuningService revived;
+    eval::AsyncTableRunner async2(ds);
+    const SessionId rid = revived.restore_session(spec, snap);
+    pump(revived, async2);
+    ASSERT_TRUE(revived.finished(rid));
+    expect_identical(revived.result(rid), golden);
   }
-  for (std::size_t i = 0; i < problem.bootstrap_samples / 2; ++i) {
-    const auto c = async.next_completion();
-    ASSERT_TRUE(c.has_value());
-    service.tell(c->tag, c->config, c->result);
-  }
-  const std::string snap = service.snapshot(id);
-  service.close(id);
-
-  // Restore into a second service instance (fresh process in spirit).
-  // Told results wait in the session's incomplete wave, outside the
-  // stepper snapshot, so every run of the batch is re-asked for.
-  TuningService revived;
-  eval::AsyncTableRunner async2(ds);
-  const SessionId rid = revived.restore_session(SessionSpec::lynceus(problem, opts, 23), snap);
-  pump(revived, async2);
-  ASSERT_TRUE(revived.finished(rid));
-  expect_identical(revived.result(rid), golden);
 }
 
 TEST(TuningService, TellErrorPathsLeaveStateIntact) {
@@ -299,7 +318,9 @@ TEST(TuningService, TellErrorPathsLeaveStateIntact) {
 
   TuningService service;
   eval::AsyncTableRunner async(ds);
-  const SessionId id = service.open_session(SessionSpec::lynceus(problem, opts, 29));
+  SessionSpec spec = session_spec("lynceus", problem, 29);
+  spec.lookahead = 1;
+  const SessionId id = service.open_session(spec);
   const auto batch = service.next_runs();
   ASSERT_GE(batch.size(), 2U);
 
@@ -356,7 +377,7 @@ TEST(TuningService, DrainUnderInjectedFailuresReachesIdle) {
 
   std::vector<SessionId> ids;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    ids.push_back(service.open_session(SessionSpec::random(problem, seed)));
+    ids.push_back(service.open_session(session_spec("random", problem, seed)));
   }
   drain(service, async);
 
@@ -377,7 +398,7 @@ TEST(TuningService, ValidatesSessionIdsAndTells) {
   TuningService service;
   core::RunResult r;
   EXPECT_THROW(service.tell(0, 0, r), std::invalid_argument);
-  const SessionId id = service.open_session(SessionSpec::random(problem, 1));
+  const SessionId id = service.open_session(session_spec("random", problem, 1));
   EXPECT_THROW(service.tell(id, 0, r), std::invalid_argument);  // not asked
   EXPECT_THROW((void)service.result(id + 1), std::invalid_argument);
   service.close(id);

@@ -9,8 +9,9 @@
 ///   lynceus_tune --job=cnn --resume=s.json               # and finish
 ///
 /// Run `lynceus_tune --help` for the full flag reference (kept in one
-/// place there, including the environment-variable defaults). Repeated or
-/// conflicting flags are a hard error.
+/// place there). Every mode builds its sessions from the one SessionSpec
+/// that make_spec() maps the flags to; the environment is never read.
+/// Repeated or conflicting flags and negative counts are a hard error.
 
 #include <cmath>
 #include <cstdio>
@@ -21,9 +22,6 @@
 #include <sstream>
 
 #include "cloud/workloads.hpp"
-#include "core/bo.hpp"
-#include "core/lynceus.hpp"
-#include "core/random_search.hpp"
 #include "core/stepper.hpp"
 #include "core/trace.hpp"
 #include "eval/experiment.hpp"
@@ -54,15 +52,10 @@ Flags:
               replayed instead of the synthetic surface (its rows must
               match the suite's configuration space)
   --incremental      Lynceus incremental ensemble refit (faster lookahead
-              decisions, see core/lookahead.hpp). Default: the
-              LYNCEUS_INCREMENTAL_REFIT environment variable (unset =
-              off); the flag can only turn the feature ON — with the env
-              toggle set, omitting the flag does NOT turn it off.
+              decisions, see core/lookahead.hpp). Default off.
   --branch-parallel  also parallelize *inside* each root simulation
               (trajectory-neutral; pooled-determinism contract in
-              core/lookahead.hpp). Default: the LYNCEUS_BRANCH_PARALLEL
-              environment variable (unset = off); same on-only semantics
-              as --incremental.
+              core/lookahead.hpp). Default off.
   --sessions N       tune N concurrent sessions of the job (seeds
               seed..seed+N-1) through the TuningService over one shared
               thread pool, fed by simulated asynchronous run completions
@@ -127,7 +120,9 @@ Flags:
   --list      list the suite's jobs and exit
   --help      this text
 
-Repeated or conflicting flags (e.g. --trace --no-trace) are an error.
+Repeated or conflicting flags (e.g. --trace --no-trace) are an error, and
+so is a negative --la, --screen, --sessions, --throughput-workers or
+--snapshot-after.
 )";
 
 std::vector<cloud::Dataset> suite_datasets(const std::string& suite) {
@@ -154,13 +149,21 @@ const cloud::Dataset& pick_job(const std::vector<cloud::Dataset>& all,
   throw std::invalid_argument("unknown job '" + job + "' (use --list)");
 }
 
-struct OptimizerChoice {
-  std::string name;
-  unsigned la = 2;
-  unsigned screen = 24;
-  bool incremental = false;
-  bool branch_parallel = false;
-};
+/// An integer flag that sets an unsigned count of type T: a negative or
+/// oversized value is a usage error, not a silent wrap-around.
+template <typename T>
+T count_flag(const util::CliFlags& flags, const std::string& name,
+             T fallback) {
+  const std::int64_t v =
+      flags.get_int(name, static_cast<std::int64_t>(fallback));
+  if (v < 0 || static_cast<std::uint64_t>(v) > std::numeric_limits<T>::max()) {
+    throw std::invalid_argument(
+        "--" + name + " must be between 0 and " +
+        std::to_string(std::numeric_limits<T>::max()) + ", got " +
+        std::to_string(v));
+  }
+  return static_cast<T>(v);
+}
 
 /// The --fault-rate/--fault-seed/--straggler-factor/--max-retries/
 /// --run-timeout knobs, resolved and validated.
@@ -240,82 +243,37 @@ struct RunnerStack {
   }
 };
 
-core::LynceusOptions lynceus_options(const OptimizerChoice& c,
-                                     core::OptimizerObserver* obs,
-                                     util::ThreadPool* pool) {
-  core::LynceusOptions opts;
-  opts.lookahead = c.la;
-  opts.screen_width = c.screen;
-  // env defaults (LYNCEUS_INCREMENTAL_REFIT / LYNCEUS_BRANCH_PARALLEL)
-  // already applied; the CLI flags can only turn the features on, never
-  // off.
-  opts.incremental_refit = opts.incremental_refit || c.incremental;
-  opts.branch_parallel = opts.branch_parallel || c.branch_parallel;
-  opts.observer = obs;
-  opts.pool = pool;
-  return opts;
-}
-
-std::unique_ptr<core::Optimizer> make_optimizer(const OptimizerChoice& c,
-                                                core::OptimizerObserver* obs,
-                                                util::ThreadPool* pool) {
-  if (c.name == "lynceus") {
-    return std::make_unique<core::LynceusOptimizer>(
-        lynceus_options(c, obs, pool));
-  }
-  if (c.name == "bo") {
-    core::BoOptions opts;
-    opts.observer = obs;
-    return std::make_unique<core::BayesianOptimizer>(opts);
-  }
-  if (c.name == "cherrypick") {
-    auto spec = eval::cherrypick_spec();
-    return spec.make();
-  }
-  if (c.name == "rnd") return std::make_unique<core::RandomSearch>();
-  throw std::invalid_argument(
-      "unknown optimizer '" + c.name +
-      "' (expected lynceus | bo | rnd | cherrypick)");
-}
-
-/// Ask/tell stepper for the session-based modes (--sessions, --snapshot,
-/// --resume), via the generic Optimizer::make_stepper. CherryPick (a
-/// composite spec without a stepper form) reports nullptr.
-std::unique_ptr<core::OptimizerStepper> make_stepper(
-    const OptimizerChoice& c, const core::OptimizationProblem& problem,
-    std::uint64_t seed, core::OptimizerObserver* obs,
-    util::ThreadPool* pool) {
-  auto stepper = make_optimizer(c, obs, pool)->make_stepper(problem, seed);
-  if (stepper == nullptr) {
-    throw std::invalid_argument("optimizer '" + c.name +
-                                "' has no ask/tell stepper "
-                                "(expected lynceus | bo | rnd)");
-  }
-  return stepper;
-}
-
-/// The CLI flag set as one declarative SessionSpec — the same spec drives
-/// the in-process service (--sessions) and the wire (--connect).
-service::SessionSpec make_spec(const OptimizerChoice& c,
-                               const FaultChoice& faults, std::uint64_t seed) {
+/// The CLI flag set as one declarative SessionSpec. Every stepper-driven
+/// mode opens its sessions from it: the single run, --snapshot/--resume,
+/// the in-process service (--sessions, seeds seed..seed+N-1) and the wire
+/// (--connect). The caller attaches the problem.
+service::SessionSpec make_spec(const util::CliFlags& flags,
+                               const FaultChoice& faults) {
   service::SessionSpec spec;
-  if (c.name == "lynceus") {
+  const std::string name = flags.get_string("optimizer", "lynceus");
+  const auto la = count_flag<unsigned>(flags, "la", 2);
+  const auto screen = count_flag<unsigned>(flags, "screen", 24);
+  if (name == "lynceus") {
     spec.optimizer = "lynceus";
-    spec.lookahead = c.la;
-    spec.screen_width = c.screen;
-    // Same on-only semantics as the env toggles (see kUsage).
-    spec.incremental_refit = spec.incremental_refit || c.incremental;
-    spec.branch_parallel = spec.branch_parallel || c.branch_parallel;
-  } else if (c.name == "bo") {
+    spec.lookahead = la;
+    spec.screen_width = screen;
+    spec.incremental_refit = flags.get_bool("incremental", false);
+    spec.branch_parallel = flags.get_bool("branch-parallel", false);
+  } else if (name == "bo") {
     spec.optimizer = "bo";
-  } else if (c.name == "rnd") {
+  } else if (name == "rnd") {
     spec.optimizer = "random";
+  } else if (name == "cherrypick") {
+    throw std::invalid_argument(
+        "optimizer 'cherrypick' has no ask/tell stepper and runs only as a "
+        "single in-process run (not with --sessions, --connect, --snapshot "
+        "or --resume)");
   } else {
-    throw std::invalid_argument("optimizer '" + c.name +
-                                "' is not session-capable "
-                                "(expected lynceus | bo | rnd)");
+    throw std::invalid_argument(
+        "unknown optimizer '" + name +
+        "' (expected lynceus | bo | rnd | cherrypick)");
   }
-  spec.seed = seed;
+  spec.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   if (faults.max_retries > 0 || std::isfinite(faults.run_timeout)) {
     service::RunPolicy policy;
     policy.max_attempts = faults.max_retries + 1;
@@ -323,6 +281,14 @@ service::SessionSpec make_spec(const OptimizerChoice& c,
     spec.run_policy = policy;
   }
   return spec;
+}
+
+void print_header(const cloud::Dataset& dataset,
+                  const core::OptimizationProblem& problem,
+                  const std::string& what) {
+  std::printf("job %s | %zu configs | Tmax %.1f s | budget $%.4f | %s\n",
+              dataset.job_name().c_str(), dataset.size(),
+              problem.tmax_seconds, problem.budget, what.c_str());
 }
 
 void print_trace(const core::TraceRecorder& trace,
@@ -362,15 +328,25 @@ void print_summary(const cloud::Dataset& dataset,
               dataset.cost(best), eval::cno(dataset, result));
 }
 
+/// The single-run epilogue: the decision table (when traced), the summary,
+/// and the exit code (1 when nothing could be recommended).
+int finish_run(const cloud::Dataset& dataset,
+               const core::OptimizationProblem& problem,
+               const core::OptimizerResult& result,
+               const core::TraceRecorder* trace) {
+  if (trace != nullptr) print_trace(*trace, dataset);
+  print_summary(dataset, problem, result);
+  return result.recommendation ? 0 : 1;
+}
+
 /// --sessions N: the TuningService batch mode. Every session tunes the
 /// same job with its own seed; runs complete asynchronously in simulated
 /// time, so sessions' tell()s interleave out of submission order exactly
 /// as they would against a real cluster.
 int run_sessions(const cloud::Dataset& dataset,
                  const core::OptimizationProblem& problem,
-                 const OptimizerChoice& choice, const FaultChoice& faults,
-                 std::uint64_t seed, std::size_t sessions,
-                 std::size_t throughput_workers) {
+                 const service::SessionSpec& base, const FaultChoice& faults,
+                 std::size_t sessions, std::size_t throughput_workers) {
   service::TuningService::Options sopts;
   if (throughput_workers > 0) {
     // Throughput mode owns the parallelism (whole session steps across
@@ -388,7 +364,8 @@ int run_sessions(const cloud::Dataset& dataset,
 
   std::vector<service::SessionId> ids;
   for (std::size_t i = 0; i < sessions; ++i) {
-    service::SessionSpec spec = make_spec(choice, faults, seed + i);
+    service::SessionSpec spec = base;
+    spec.seed = base.seed + i;
     spec.problem = &problem;
     ids.push_back(svc.open_session(spec));
   }
@@ -411,7 +388,7 @@ int run_sessions(const cloud::Dataset& dataset,
                          : -1L;
     std::printf("  session %zu (seed %llu): %3zu runs (%zu failed), "
                 "$%.4f spent, rec=%ld, CNO %.3f — %s\n",
-                i, static_cast<unsigned long long>(seed + i),
+                i, static_cast<unsigned long long>(base.seed + i),
                 result.explorations(), result.failures.size(),
                 result.budget_spent, rec, eval::cno(dataset, result),
                 svc.stop_reason(ids[i]).c_str());
@@ -460,9 +437,8 @@ int run_serve(std::uint16_t port, std::size_t shards,
 /// the runs the server pushes.
 int run_connect(const std::string& target, const std::string& suite,
                 const cloud::Dataset& dataset, double b,
-                const OptimizerChoice& choice, const FaultChoice& faults,
-                std::uint64_t seed, std::size_t sessions,
-                net::TuningClient::WireMode wire) {
+                const service::SessionSpec& base, const FaultChoice& faults,
+                std::size_t sessions, net::TuningClient::WireMode wire) {
   const std::size_t colon = target.rfind(':');
   if (colon == std::string::npos || colon == 0 ||
       colon + 1 == target.size()) {
@@ -487,7 +463,8 @@ int run_connect(const std::string& target, const std::string& suite,
   }
   std::vector<std::uint64_t> ids;
   for (std::size_t i = 0; i < sessions; ++i) {
-    service::SessionSpec spec = make_spec(choice, faults, seed + i);
+    service::SessionSpec spec = base;
+    spec.seed = base.seed + i;
     spec.problem_ref =
         service::ProblemRef{suite, dataset.job_name(), b};
     ids.push_back(client->open(spec));
@@ -512,7 +489,7 @@ int run_connect(const std::string& target, const std::string& suite,
                          : -1L;
     std::printf("  session %zu (seed %llu): %3zu runs (%zu failed), "
                 "$%.4f spent, rec=%ld, CNO %.3f — %s\n",
-                i, static_cast<unsigned long long>(seed + i),
+                i, static_cast<unsigned long long>(base.seed + i),
                 reply.result.explorations(), reply.result.failures.size(),
                 reply.result.budget_spent, rec,
                 eval::cno(dataset, reply.result), reply.stop_reason.c_str());
@@ -591,25 +568,18 @@ int run(int argc, char** argv) {
   }
 
   const double b = flags.get_double("b", 3.0);
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const auto problem = eval::make_problem(*dataset, b);
-
-  OptimizerChoice choice;
-  choice.name = flags.get_string("optimizer", "lynceus");
-  choice.la = static_cast<unsigned>(flags.get_int("la", 2));
-  choice.screen = static_cast<unsigned>(flags.get_int("screen", 24));
-  choice.incremental = flags.get_bool("incremental", false);
-  choice.branch_parallel = flags.get_bool("branch-parallel", false);
-
   const FaultChoice faults = parse_faults(flags);
+  const bool want_trace = flags.get_bool("trace", false);
 
-  const auto sessions =
-      static_cast<std::size_t>(flags.get_int("sessions", 1));
+  const auto sessions = count_flag<std::size_t>(flags, "sessions", 1);
   const auto throughput_workers =
-      static_cast<std::size_t>(flags.get_int("throughput-workers", 0));
+      count_flag<std::size_t>(flags, "throughput-workers", 0);
+  const auto snapshot_after = count_flag<std::size_t>(
+      flags, "snapshot-after", problem.bootstrap_samples);
+  const bool stepped = flags.has("snapshot") || flags.has("resume");
   if (flags.has("connect")) {
-    if (flags.has("dataset") || flags.get_bool("trace", false) ||
-        flags.has("snapshot") || flags.has("resume") ||
+    if (flags.has("dataset") || want_trace || stepped ||
         throughput_workers > 0) {
       throw std::invalid_argument(
           "--connect is incompatible with --dataset, --trace, --snapshot, "
@@ -623,8 +593,8 @@ int run(int argc, char** argv) {
         : wire_flag == "binary" ? net::TuningClient::WireMode::kBinary
                                 : net::TuningClient::WireMode::kNegotiate;
     return run_connect(flags.get_string("connect", ""),
-                       flags.get_string("suite", "tf"), *dataset, b, choice,
-                       faults, seed, sessions, mode);
+                       flags.get_string("suite", "tf"), *dataset, b,
+                       make_spec(flags, faults), faults, sessions, mode);
   }
   if (throughput_workers > 0 && sessions <= 1) {
     throw std::invalid_argument(
@@ -632,98 +602,92 @@ int run(int argc, char** argv) {
         "--sessions N with N > 1");
   }
   if (sessions > 1) {
-    if (flags.get_bool("trace", false)) {
+    if (want_trace) {
       throw std::invalid_argument(
           "--trace prints one session's decision table and is not "
           "supported with --sessions");
     }
-    std::printf("job %s | %zu configs | Tmax %.1f s | budget $%.4f | "
-                "%zu sessions\n",
-                dataset->job_name().c_str(), dataset->size(),
-                problem.tmax_seconds, problem.budget, sessions);
-    return run_sessions(*dataset, problem, choice, faults, seed, sessions,
+    const service::SessionSpec spec = make_spec(flags, faults);
+    print_header(*dataset, problem, std::to_string(sessions) + " sessions");
+    return run_sessions(*dataset, problem, spec, faults, sessions,
                         throughput_workers);
   }
 
   core::TraceRecorder trace;
-  const bool want_trace = flags.get_bool("trace", false);
+  core::TraceRecorder* observer = want_trace ? &trace : nullptr;
+  RunnerStack stack(*dataset, faults);
+  core::JobRunner& runner = *stack.active;
+  if (!stepped && flags.get_string("optimizer", "lynceus") == "cherrypick") {
+    // CherryPick composes several optimizers and has no ask/tell stepper,
+    // hence no SessionSpec: it keeps the closed loop. It reports nothing
+    // to an observer, so --trace prints an empty decision table.
+    auto cherrypick = eval::cherrypick_spec().make();
+    print_header(*dataset, problem, cherrypick->name());
+    const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+    return finish_run(*dataset, problem,
+                      cherrypick->optimize(problem, runner, seed), observer);
+  }
+
+  service::SessionSpec spec = make_spec(flags, faults);
+  spec.problem = &problem;
+  spec.observer = observer;
   // Per-decision root simulations fan out across the host's cores by
   // default; the explored trajectory does not depend on the pool size.
   util::ThreadPool pool(util::default_worker_count());
+  const auto stepper = spec.make_stepper(&pool, nullptr);
+  if (!stepped) {
+    print_header(*dataset, problem, stepper->name());
+    return finish_run(*dataset, problem, core::drive(*stepper, runner),
+                      observer);
+  }
 
-  // --resume / --snapshot: session-based drive over an ask/tell stepper.
-  if (flags.has("resume") || flags.has("snapshot")) {
-    auto stepper = make_stepper(choice, problem, seed,
-                                want_trace ? &trace : nullptr, &pool);
-    if (flags.has("resume")) {
-      const std::string path = flags.get_string("resume", "");
-      std::ifstream in(path);
-      std::stringstream buf;
-      buf << in.rdbuf();
-      if (!in) {
-        std::fprintf(stderr, "lynceus_tune: cannot read %s\n", path.c_str());
-        return 2;
-      }
-      stepper->restore(buf.str());
-      std::printf("resumed %s from %s (%zu runs applied so far)\n",
-                  stepper->name().c_str(), path.c_str(),
-                  stepper->result().history.size());
+  // --resume / --snapshot: the same stepper, driven by hand so the
+  // session can be saved mid-flight.
+  if (flags.has("resume")) {
+    const std::string path = flags.get_string("resume", "");
+    std::ifstream in(path);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    if (!in) {
+      std::fprintf(stderr, "lynceus_tune: cannot read %s\n", path.c_str());
+      return 2;
     }
-    const std::size_t snapshot_after = static_cast<std::size_t>(
-        flags.get_int("snapshot-after",
-                      static_cast<std::int64_t>(problem.bootstrap_samples)));
-    RunnerStack stack(*dataset, faults);
-    core::JobRunner& runner = *stack.active;
-    std::size_t applied = stepper->result().history.size();
-    const auto save_snapshot = [&]() -> bool {
-      const std::string path = flags.get_string("snapshot", "");
-      std::ofstream out(path);
-      out << stepper->snapshot() << "\n";
-      if (!out) {
-        std::fprintf(stderr, "lynceus_tune: cannot write %s\n", path.c_str());
-        return false;
-      }
-      std::printf("snapshot after %zu runs written to %s — resume with "
-                  "--resume=%s\n",
-                  applied, path.c_str(), path.c_str());
-      return true;
-    };
-    while (!stepper->finished()) {
-      // Snapshots may land mid-batch: told results ride inside the
-      // snapshot, untold ones are re-asked for after a restore.
+    stepper->restore(buf.str());
+    std::printf("resumed %s from %s (%zu runs applied so far)\n",
+                stepper->name().c_str(), path.c_str(),
+                stepper->result().history.size());
+  }
+  std::size_t applied = stepper->result().history.size();
+  const auto save_snapshot = [&]() -> bool {
+    const std::string path = flags.get_string("snapshot", "");
+    std::ofstream out(path);
+    out << stepper->snapshot() << "\n";
+    if (!out) {
+      std::fprintf(stderr, "lynceus_tune: cannot write %s\n", path.c_str());
+      return false;
+    }
+    std::printf("snapshot after %zu runs written to %s — resume with "
+                "--resume=%s\n",
+                applied, path.c_str(), path.c_str());
+    return true;
+  };
+  while (!stepper->finished()) {
+    // Snapshots may land mid-batch: told results ride inside the
+    // snapshot, untold ones are re-asked for after a restore.
+    if (flags.has("snapshot") && applied >= snapshot_after) {
+      return save_snapshot() ? 0 : 2;
+    }
+    const core::StepAction& action = stepper->ask();
+    if (action.kind == core::StepAction::Kind::Finished) break;
+    for (core::ConfigId id : stepper->outstanding_configs()) {
       if (flags.has("snapshot") && applied >= snapshot_after) {
         return save_snapshot() ? 0 : 2;
       }
-      const core::StepAction& action = stepper->ask();
-      if (action.kind == core::StepAction::Kind::Finished) break;
-      for (core::ConfigId id : stepper->outstanding_configs()) {
-        if (flags.has("snapshot") && applied >= snapshot_after) {
-          return save_snapshot() ? 0 : 2;
-        }
-        stepper->tell(id, runner.run(id));
-        ++applied;
-      }
+      stepper->tell(id, runner.run(id));
+      ++applied;
     }
-    if (want_trace) print_trace(trace, *dataset);
-    print_summary(*dataset, problem, stepper->result());
-    return stepper->result().recommendation ? 0 : 1;
   }
-
-  auto optimizer =
-      make_optimizer(choice, want_trace ? &trace : nullptr, &pool);
-
-  std::printf("job %s | %zu configs | Tmax %.1f s | budget $%.4f | %s\n",
-              dataset->job_name().c_str(), dataset->size(),
-              problem.tmax_seconds, problem.budget,
-              optimizer->name().c_str());
-
-  RunnerStack stack(*dataset, faults);
-  const auto result = optimizer->optimize(problem, *stack.active, seed);
-
-  if (want_trace) print_trace(trace, *dataset);
-
-  print_summary(*dataset, problem, result);
-  return result.recommendation ? 0 : 1;
+  return finish_run(*dataset, problem, stepper->result(), observer);
 }
 
 }  // namespace

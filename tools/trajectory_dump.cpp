@@ -11,17 +11,21 @@
 ///   trajectory_dump [--out=PATH] [--incremental] [--branch-parallel]
 ///                   [--via-steps] [--throughput-workers=N]
 ///
-/// `--incremental` (or the LYNCEUS_INCREMENTAL_REFIT=1 environment toggle)
-/// runs every case with Options::incremental_refit on. Those trajectories
-/// are *also* fully deterministic (same binary, same output every run) but
-/// are expected to differ from the flag-off golden ones — CI runs both
-/// variants and uploads their diff as the incremental-vs-scratch artifact,
-/// while the cross-build determinism check diffs like against like.
+/// Only the flags select a variant. The LYNCEUS_INCREMENTAL_REFIT /
+/// LYNCEUS_BRANCH_PARALLEL environment variables are ignored, like
+/// everything else in the environment: CI runs the binary with both set
+/// and requires the plain dump, byte for byte.
 ///
-/// `--branch-parallel` (or LYNCEUS_BRANCH_PARALLEL=1) runs every case with
-/// a thread pool, root fan-out *and* intra-root branch parallelism
-/// enabled. Unlike `--incremental` this must NOT change the output: the
-/// pooled-determinism contract (core/lookahead.hpp) pins pooled
+/// `--incremental` runs every case with Options::incremental_refit on.
+/// Those trajectories are *also* fully deterministic (same binary, same
+/// output every run) but are expected to differ from the flag-off golden
+/// ones — CI runs both variants and uploads their diff as the
+/// incremental-vs-scratch artifact, while the cross-build determinism
+/// check diffs like against like.
+///
+/// `--branch-parallel` runs every case with a thread pool, root fan-out
+/// *and* intra-root branch parallelism enabled. Unlike `--incremental`
+/// this must NOT change the output: the pooled-determinism contract (core/lookahead.hpp) pins pooled
 /// trajectories byte-identical to serial ones, and CI diffs the
 /// branch-parallel dump against the serial dump of the same build as a
 /// hard check. The header line deliberately omits the flag so the files
@@ -73,7 +77,6 @@
 #include "eval/experiment.hpp"
 #include "eval/runner.hpp"
 #include "service/tuning_service.hpp"
-#include "util/cli.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
@@ -356,8 +359,8 @@ void print_classic_cases(std::ostringstream& out, bool incremental,
 
 int main(int argc, char** argv) {
   std::string out_path;
-  bool incremental = lynceus::util::env_flag("LYNCEUS_INCREMENTAL_REFIT");
-  bool branch_parallel = lynceus::util::env_flag("LYNCEUS_BRANCH_PARALLEL");
+  bool incremental = false;
+  bool branch_parallel = false;
   bool via_steps = false;
   bool faults = false;
   std::size_t throughput_workers = 0;
