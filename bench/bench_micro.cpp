@@ -1290,27 +1290,33 @@ bool write_json_summary(const std::string& path,
   }
 
   // Network front-end throughput: remote sessions over loopback TCP
-  // against the 2-shard server, each workload measured under BOTH frame
+  // against the server, each workload measured under BOTH frame
   // encodings (the wire tax the binary body removes) — decisions/s of
   // the whole distributed drain plus the client-observed tell round-trip
-  // latency (see measure_net_throughput). The final case fans 64
+  // latency (see measure_net_throughput). The 64/64 case fans 64
   // sessions across 64 connections (one each) to exercise the epoll
-  // transport's many-socket path rather than pipelined framing.
+  // transport's many-socket path rather than pipelined framing. The
+  // 2-shard cases keep the historical baseline; the last case reruns the
+  // 64/8 shape at the server's default shard count (one per hardware
+  // thread), so the shard curve lands in the JSON keyed by `shards`.
   if (want("net_throughput")) {
   w.key("net_throughput").begin_array();
   struct NetCase {
     std::size_t sessions;
     std::size_t clients;
+    std::size_t shards;
     std::size_t reps;
   };
   // Reps sized for the run-to-run noise of a shared/1-core box: the
   // 64-session cases are the wire-tax acceptance numbers and get a
   // 5-rep median; the 8-session case is latency-dominated and stabler.
-  const NetCase cases[] = {{8, 1, 3}, {64, 8, 5}, {64, 64, 3}};
+  std::vector<NetCase> cases = {{8, 1, 2, 3}, {64, 8, 2, 5}, {64, 64, 2, 3}};
+  const std::size_t default_shards = net::TuningServer::Options{}.shards;
+  if (default_shards != 2) cases.push_back({64, 8, default_shards, 5});
   for (const NetCase& nc : cases) {
     for (const bool binary : {false, true}) {
       const auto s = measure_net_throughput(
-          nc.sessions, nc.clients, 2, nc.reps,
+          nc.sessions, nc.clients, nc.shards, nc.reps,
           binary ? net::TuningClient::WireMode::kBinary
                  : net::TuningClient::WireMode::kJson);
       w.begin_object();
@@ -1319,7 +1325,7 @@ bool write_json_summary(const std::string& path,
       w.key("wire").value(binary ? "binary" : "json");
       w.key("sessions").value(static_cast<std::uint64_t>(nc.sessions));
       w.key("clients").value(static_cast<std::uint64_t>(nc.clients));
-      w.key("shards").value(std::uint64_t{2});
+      w.key("shards").value(static_cast<std::uint64_t>(nc.shards));
       w.key("decisions").value(static_cast<std::uint64_t>(s.decisions));
       w.key("ms_per_decision").value(s.ms_per_decision);
       w.key("decisions_per_sec").value(s.decisions_per_sec);

@@ -42,8 +42,9 @@ std::string bundled_key(const std::string& suite, const std::string& job,
 TuningServer::TuningServer() : TuningServer(Options{}) {}
 
 TuningServer::TuningServer(Options options) : options_(std::move(options)) {
-  if (options_.shards == 0) {
-    throw std::invalid_argument("TuningServer: shards must be >= 1");
+  if (options_.shards == 0 || options_.shards > kMaxShards) {
+    throw std::invalid_argument("TuningServer: shards must be between 1 and " +
+                                std::to_string(kMaxShards));
   }
   if (options_.lane_capacity == 0) {
     throw std::invalid_argument("TuningServer: lane_capacity must be >= 1");
@@ -388,20 +389,26 @@ void TuningServer::transport_loop(std::size_t t) {
       queue_error(c, 0, "bad_message", e.what());
       return;
     }
-    ShardRequest sr;
-    sr.kind = ShardRequest::Kind::Request;
-    sr.conn = c.id;
-    sr.enc = c.enc;
+    const auto header = [&] {
+      ShardRequest sr;
+      sr.conn = c.id;
+      sr.enc = c.enc;
+      sr.type = request.type;
+      sr.req = request.req;
+      return sr;
+    };
     switch (request.type) {
       case Request::Type::Hello:
         return;  // handled above; unreachable
       case Request::Type::Open:
       case Request::Type::Restore: {
+        ShardRequest sr = header();
         // Allocate the global id here so the request can route to its
         // owning shard; the shard maps it to its local service id.
         sr.global_session = next_session_.fetch_add(1);
+        sr.open = std::make_unique<OpenPayload>(OpenPayload{
+            std::move(request.spec), std::move(request.snapshot)});
         const std::size_t shard = sr.global_session % k;
-        sr.request = std::move(request);
         route(c, std::move(sr), shard);
         return;
       }
@@ -409,20 +416,15 @@ void TuningServer::transport_loop(std::size_t t) {
       case Request::Type::Snapshot:
       case Request::Type::Result:
       case Request::Type::Close: {
-        const std::size_t shard = request.session % k;
-        sr.request = std::move(request);
-        route(c, std::move(sr), shard);
+        ShardRequest sr = header();
+        sr.session = request.session;
+        sr.config = request.config;
+        sr.result = std::move(request.result);
+        route(c, std::move(sr), request.session % k);
         return;
       }
       case Request::Type::NextRuns: {
-        for (std::size_t s = 0; s < k; ++s) {
-          ShardRequest copy;
-          copy.kind = ShardRequest::Kind::Request;
-          copy.conn = c.id;
-          copy.enc = c.enc;
-          copy.request = request;
-          route(c, std::move(copy), s);
-        }
+        for (std::size_t s = 0; s < k; ++s) route(c, header(), s);
         return;
       }
     }
@@ -696,48 +698,47 @@ void TuningServer::shard_loop(std::size_t s) {
       return;
     }
 
-    Request& req = sr.request;
-    switch (req.type) {
+    switch (sr.type) {
       case Request::Type::Hello:
         return;  // transport-level; never reaches a shard
       case Request::Type::Open:
       case Request::Type::Restore: {
         try {
-          service::SessionSpec spec = req.spec;
+          service::SessionSpec& spec = sr.open->spec;
           spec.problem = resolve_problem(spec);
           const service::SessionId local =
-              req.type == Request::Type::Open
+              sr.type == Request::Type::Open
                   ? svc.open_session(spec)
-                  : svc.restore_session(spec, req.snapshot);
+                  : svc.restore_session(spec, sr.open->snapshot);
           by_global[sr.global_session] = SessionInfo{local, sr.conn, sr.enc};
           global_of_local[local] = sr.global_session;
           by_conn[sr.conn].insert(sr.global_session);
           shard_opened_[s].fetch_add(1, std::memory_order_relaxed);
           send(sr.conn,
                encode_frame(
-                   encode_opened_wire(sr.enc, req.req, sr.global_session)),
+                   encode_opened_wire(sr.enc, sr.req, sr.global_session)),
                false);
           sweep();
         } catch (const std::exception& e) {
           send(sr.conn,
-               encode_frame(encode_error_wire(sr.enc, req.req, "bad_request",
+               encode_frame(encode_error_wire(sr.enc, sr.req, "bad_request",
                                               e.what(), true)),
                true);
         }
         return;
       }
       case Request::Type::Tell: {
-        const auto it = by_global.find(req.session);
+        const auto it = by_global.find(sr.session);
         if (it == by_global.end() || it->second.conn != sr.conn) {
           send(sr.conn,
                encode_frame(encode_error_wire(
-                   sr.enc, req.req, "bad_request",
-                   "unknown session " + std::to_string(req.session), true)),
+                   sr.enc, sr.req, "bad_request",
+                   "unknown session " + std::to_string(sr.session), true)),
                true);
           return;
         }
         try {
-          svc.tell(it->second.local, req.config, req.result);
+          svc.tell(it->second.local, sr.config, sr.result);
           // Sweep BEFORE reporting: a stepper only learns it is finished
           // when the post-tell ask happens, so the told reply would
           // otherwise claim finished=false with no further run coming —
@@ -748,12 +749,12 @@ void TuningServer::shard_loop(std::size_t s) {
           const bool finished = quarantined || svc.finished(it->second.local);
           send(sr.conn,
                encode_frame(encode_told_wire(
-                   sr.enc, req.req, req.session, finished, quarantined,
+                   sr.enc, sr.req, sr.session, finished, quarantined,
                    svc.stop_reason(it->second.local))),
                false);
         } catch (const std::exception& e) {
           send(sr.conn,
-               encode_frame(encode_error_wire(sr.enc, req.req, "bad_request",
+               encode_frame(encode_error_wire(sr.enc, sr.req, "bad_request",
                                               e.what(), true)),
                true);
         }
@@ -766,26 +767,26 @@ void TuningServer::shard_loop(std::size_t s) {
       case Request::Type::Snapshot:
       case Request::Type::Result:
       case Request::Type::Close: {
-        const auto it = by_global.find(req.session);
+        const auto it = by_global.find(sr.session);
         if (it == by_global.end() || it->second.conn != sr.conn) {
           send(sr.conn,
                encode_frame(encode_error_wire(
-                   sr.enc, req.req, "bad_request",
-                   "unknown session " + std::to_string(req.session), true)),
+                   sr.enc, sr.req, "bad_request",
+                   "unknown session " + std::to_string(sr.session), true)),
                true);
           return;
         }
         try {
-          if (req.type == Request::Type::Snapshot) {
+          if (sr.type == Request::Type::Snapshot) {
             send(sr.conn,
                  encode_frame(encode_snapshot_reply_wire(
-                     sr.enc, req.req, req.session,
+                     sr.enc, sr.req, sr.session,
                      svc.snapshot_session(it->second.local))),
                  false);
-          } else if (req.type == Request::Type::Result) {
+          } else if (sr.type == Request::Type::Result) {
             send(sr.conn,
                  encode_frame(encode_result_reply_wire(
-                     sr.enc, req.req, req.session,
+                     sr.enc, sr.req, sr.session,
                      svc.finished(it->second.local),
                      svc.quarantined(it->second.local),
                      svc.stop_reason(it->second.local),
@@ -793,15 +794,15 @@ void TuningServer::shard_loop(std::size_t s) {
                  false);
           } else {
             svc.close(it->second.local);
-            drop_session(req.session);
+            drop_session(sr.session);
             send(sr.conn,
                  encode_frame(
-                     encode_closed_wire(sr.enc, req.req, req.session)),
+                     encode_closed_wire(sr.enc, sr.req, sr.session)),
                  false);
           }
         } catch (const std::exception& e) {
           send(sr.conn,
-               encode_frame(encode_error_wire(sr.enc, req.req, "bad_request",
+               encode_frame(encode_error_wire(sr.enc, sr.req, "bad_request",
                                               e.what(), true)),
                true);
         }

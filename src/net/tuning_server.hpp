@@ -8,7 +8,8 @@
 ///
 /// ## Thread-per-role layout
 ///
-/// One server runs 2·K + 1 threads for K shards, wired exclusively by
+/// One server runs 2·K + 1 threads for K shards (by default one shard
+/// per hardware thread, at most kMaxShards), wired exclusively by
 /// bounded lock-free SPSC queues (util/spsc_queue.hpp) — each lane has
 /// exactly one writer and one reader by construction, so no lock is ever
 /// taken on the request path:
@@ -60,7 +61,11 @@
 /// session deterministically routes to the shard owning it and ids are
 /// unique across the server. A connection's sessions may live on any
 /// subset of shards; when a connection dies, every shard closes the
-/// sessions it owned for it.
+/// sessions it owned for it. Each shard decides one request at a time,
+/// so K bounds how many decisions run at once: the default K is the
+/// machine's hardware thread count. The K² request lanes carry
+/// tell-sized records (the Open/Restore payload is boxed behind a
+/// pointer), so lane memory stays small as K grows.
 ///
 /// ## Determinism contract
 ///
@@ -74,6 +79,7 @@
 /// of any trajectory. tests/test_net_service.cpp pins 64 remote sessions
 /// across shards against their solo in-process runs.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -102,13 +108,20 @@ class TuningServer {
   /// typed "bad_negotiation" error.
   enum class WirePolicy { kNegotiate, kJsonOnly, kBinaryOnly };
 
+  /// Upper bound on Options::shards: the server wires a K×K matrix of
+  /// request lanes (and one of reply lanes), so K stays small.
+  static constexpr std::size_t kMaxShards = 64;
+
   struct Options {
     std::string host = "127.0.0.1";
     /// 0 = ephemeral (query the bound port with port()).
     std::uint16_t port = 0;
-    /// Independent service loops (>= 1); sessions are partitioned by
-    /// `session_id % shards`.
-    std::size_t shards = 2;
+    /// Independent service loops, in [1, kMaxShards]; sessions are
+    /// partitioned by `session_id % shards`. Defaults to one per
+    /// hardware thread: each shard decides one request at a time, so
+    /// fewer shards than cores leaves cores idle under load.
+    std::size_t shards = std::clamp<std::size_t>(
+        std::thread::hardware_concurrency(), 1, kMaxShards);
     /// Per-shard RootCache capacity (0 = off). Sessions sharing a shard
     /// AND a recurrent problem warm-start each other, exactly as in the
     /// in-process service; trajectories are unaffected.
@@ -119,8 +132,10 @@ class TuningServer {
     std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
     /// Capacity of each SPSC lane. Requests/replies queue here while the
     /// peer thread is busy; a full request lane parks the connection's
-    /// read interest (see "Backpressure" above) instead of blocking.
-    std::size_t lane_capacity = 1024;
+    /// read interest (see "Backpressure" above) instead of blocking. A
+    /// closed-loop driver keeps about one request per lane in flight,
+    /// so 64 slots is ample headroom; K² lanes are allocated up front.
+    std::size_t lane_capacity = 64;
     /// Encodings the hello handshake may pick (default: both).
     WirePolicy wire = WirePolicy::kNegotiate;
     /// Pin shard s to core s and transport t to core K+t (mod cores) —
@@ -182,20 +197,36 @@ class TuningServer {
     std::uint64_t id = 0;
   };
 
-  /// One decoded request on a transport→shard lane.
+  /// The Open/Restore part of a request, boxed so that lane slots stay
+  /// tell-sized (an open allocates a session anyway).
+  struct OpenPayload {
+    service::SessionSpec spec;
+    std::string snapshot;  ///< Restore only
+  };
+
+  /// One decoded request on a transport→shard lane: the fields of a
+  /// net::Request a tell needs, inline, and the rest behind `open`.
   struct ShardRequest {
-    enum class Kind { Request, ConnClosed };
+    enum class Kind : std::uint8_t { Request, ConnClosed };
     Kind kind = Kind::Request;
-    std::uint64_t conn = 0;
     /// The connection's negotiated frame encoding — the shard encodes
     /// every reply (and every pushed run for sessions this request
     /// opens) with it.
     WireEncoding enc = WireEncoding::kJson;
+    Request::Type type = Request::Type::NextRuns;
+    std::uint64_t req = 0;
+    std::uint64_t conn = 0;
+    std::uint64_t session = 0;  ///< tell / snapshot / result / close
+    core::ConfigId config = 0;  ///< tell
+    core::RunResult result;     ///< tell
     /// Pre-allocated global session id (Open/Restore only; the transport
     /// allocates so it can route the request to `id % shards`).
     std::uint64_t global_session = 0;
-    Request request;
+    std::unique_ptr<OpenPayload> open;  ///< Open/Restore only
   };
+  // Every lane slot is preallocated (K² lanes × lane_capacity), so a
+  // slot must stay tell-sized: grow OpenPayload, not this record.
+  static_assert(sizeof(ShardRequest) <= 128);
 
   /// One encoded reply (or pushed run) on a shard→transport lane.
   struct TransportReply {

@@ -10,10 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <mutex>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -84,34 +86,27 @@ service::SessionSpec remote_lynceus_spec(std::uint64_t seed) {
   return spec;
 }
 
-/// The acceptance gate of the redesign: 64 remote sessions, 8 concurrent
-/// client connections, 2 shards, shared per-shard root caches — every
-/// session's trajectory must be byte-identical to its solo in-process
-/// run.
-TEST(NetService, SixtyFourConcurrentRemoteSessionsMatchTheirSoloRuns) {
+/// Drives seeds 1..`sessions` as remote Lynceus sessions spread evenly
+/// over `clients` concurrent connections, one driver thread each, and
+/// checks every trajectory against its solo in-process run.
+void expect_remote_fleet_matches_solo(const TuningServer& server,
+                                      std::uint64_t sessions,
+                                      std::uint64_t clients) {
   const auto ds = lynceus::testing::tiny_dataset();
   const auto problem = lynceus::testing::tiny_problem();
-
-  TuningServer::Options opts;
-  opts.shards = 2;
-  opts.root_cache_capacity = 16;
-  TuningServer server(opts);
-  server.register_problem("test", "tinybowl", problem);
-
-  constexpr std::uint64_t kSessions = 64;
-  constexpr std::uint64_t kClients = 8;
-  std::vector<OptimizerResult> remote(kSessions);
-  std::vector<std::string> errors(kClients);
+  const std::uint64_t per_client = sessions / clients;
+  std::vector<OptimizerResult> remote(sessions);
+  std::vector<std::string> errors(clients);
 
   std::vector<std::thread> drivers;
-  for (std::uint64_t c = 0; c < kClients; ++c) {
+  for (std::uint64_t c = 0; c < clients; ++c) {
     drivers.emplace_back([&, c] {
       try {
         TuningClient client("127.0.0.1", server.port());
         eval::AsyncTableRunner runner(ds);
         std::vector<std::pair<std::uint64_t, std::uint64_t>> opened;  // seed,id
-        for (std::uint64_t k = 0; k < kSessions / kClients; ++k) {
-          const std::uint64_t seed = 1 + c * (kSessions / kClients) + k;
+        for (std::uint64_t k = 0; k < per_client; ++k) {
+          const std::uint64_t seed = 1 + c * per_client + k;
           opened.emplace_back(seed, client.open(remote_lynceus_spec(seed)));
         }
         client.drain(runner);
@@ -130,17 +125,32 @@ TEST(NetService, SixtyFourConcurrentRemoteSessionsMatchTheirSoloRuns) {
     });
   }
   for (std::thread& t : drivers) t.join();
-  for (std::uint64_t c = 0; c < kClients; ++c) {
+  for (std::uint64_t c = 0; c < clients; ++c) {
     EXPECT_TRUE(errors[c].empty()) << "client " << c << ": " << errors[c];
   }
 
-  for (std::uint64_t seed = 1; seed <= kSessions; ++seed) {
+  for (std::uint64_t seed = 1; seed <= sessions; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     eval::TableRunner solo(ds);
     auto stepper = core::LynceusOptimizer(lynceus_options_for(seed))
                        .make_stepper(problem, seed);
     expect_identical(remote[seed - 1], core::drive(*stepper, solo));
   }
+}
+
+/// The acceptance gate of the redesign: 64 remote sessions, 8 concurrent
+/// client connections, 2 shards, shared per-shard root caches — every
+/// session's trajectory must be byte-identical to its solo in-process
+/// run.
+TEST(NetService, SixtyFourConcurrentRemoteSessionsMatchTheirSoloRuns) {
+  TuningServer::Options opts;
+  opts.shards = 2;
+  opts.root_cache_capacity = 16;
+  TuningServer server(opts);
+  server.register_problem("test", "tinybowl", lynceus::testing::tiny_problem());
+
+  constexpr std::uint64_t kSessions = 64;
+  expect_remote_fleet_matches_solo(server, kSessions, 8);
 
   // Both shards carried sessions, and together they carried all of them.
   const std::vector<std::size_t> counts = server.shard_session_counts();
@@ -148,6 +158,48 @@ TEST(NetService, SixtyFourConcurrentRemoteSessionsMatchTheirSoloRuns) {
   EXPECT_GT(counts[0], 0U);
   EXPECT_GT(counts[1], 0U);
   EXPECT_EQ(counts[0] + counts[1], kSessions);
+}
+
+/// The default server runs one shard per hardware thread, and its K²
+/// request lanes are sized for tells (a closed-loop driver keeps about
+/// one request per lane in flight), not for bursts.
+TEST(NetService, DefaultServerRunsOneShardPerHardwareThread) {
+  const std::size_t hw = std::thread::hardware_concurrency();
+  const std::size_t expected =
+      std::max<std::size_t>(1, std::min(hw, TuningServer::kMaxShards));
+  TuningServer server;
+  EXPECT_EQ(server.shard_session_counts().size(), expected);
+
+  const std::vector<TuningServer::LaneStats> stats =
+      server.request_lane_stats();
+  ASSERT_EQ(stats.size(), expected * expected);
+  for (const TuningServer::LaneStats& ls : stats) {
+    EXPECT_EQ(ls.capacity, 64U);
+    EXPECT_EQ(ls.high_water, 0U);
+    EXPECT_EQ(ls.stalls, 0U);
+  }
+}
+
+/// More shards must not move a byte: 16 sessions on 2 connections
+/// against a server at its default options (every hardware thread a
+/// shard, small lanes) land exactly on their solo runs.
+TEST(NetService, DefaultOptionsSessionsMatchTheirSoloRuns) {
+  TuningServer server;
+  server.register_problem("test", "tinybowl", lynceus::testing::tiny_problem());
+  constexpr std::uint64_t kSessions = 16;
+  expect_remote_fleet_matches_solo(server, kSessions, 2);
+
+  const std::vector<std::size_t> counts = server.shard_session_counts();
+  EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), std::size_t{0}),
+            kSessions);
+}
+
+TEST(NetService, ConstructorRejectsShardCountsOutsideTheLaneMatrixBound) {
+  TuningServer::Options opts;
+  opts.shards = TuningServer::kMaxShards + 1;
+  EXPECT_THROW(TuningServer{opts}, std::invalid_argument);
+  opts.shards = 0;
+  EXPECT_THROW(TuningServer{opts}, std::invalid_argument);
 }
 
 /// All four optimizer kinds over the wire on one connection — exercises

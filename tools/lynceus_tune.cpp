@@ -97,7 +97,8 @@ Flags:
               hash-partitioned across them. --max-retries/--run-timeout
               set the server's default RunPolicy; the tuning flags are
               unused (clients send their own SessionSpec).
-  --shards K         with --serve: number of service loops (default 2)
+  --shards K         with --serve: number of service loops, 1 to 64
+              (default: one per hardware thread, at most 64)
   --wire W           frame-body encoding, "json" or "binary". Default:
               negotiate — the client offers binary and the server picks
               it when allowed. With --serve, W restricts what the
@@ -526,9 +527,13 @@ int run(int argc, char** argv) {
     if (port < 0 || port > 65535) {
       throw std::invalid_argument("--serve: port out of range");
     }
-    const std::int64_t shards = flags.get_int("shards", 2);
-    if (shards < 1) {
-      throw std::invalid_argument("--shards must be >= 1");
+    const std::size_t max_shards = net::TuningServer::kMaxShards;
+    const std::int64_t shards = flags.get_int(
+        "shards",
+        static_cast<std::int64_t>(net::TuningServer::Options{}.shards));
+    if (shards < 1 || static_cast<std::uint64_t>(shards) > max_shards) {
+      throw std::invalid_argument("--shards must be between 1 and " +
+                                  std::to_string(max_shards));
     }
     const net::TuningServer::WirePolicy policy =
         wire_flag == "json"     ? net::TuningServer::WirePolicy::kJsonOnly
