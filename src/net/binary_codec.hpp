@@ -14,12 +14,12 @@
 ///
 /// Decoding throws std::runtime_error on anything malformed (unknown
 /// tag, truncated varint/double/bytes, over-long varint, non-0/1 bool,
-/// trailing bytes after a complete message); the transport maps that to
-/// a fatal "bad_message" error, exactly like a JSON parse failure.
+/// trailing bytes after a complete message); the server maps that to a
+/// fatal "bad_message" error, exactly like a JSON parse failure.
 ///
-/// The `*_wire` helpers dispatch on WireEncoding so the server's shard
-/// loops and the client encode each message in whatever the connection
-/// negotiated without branching at every call site.
+/// The `*_wire` helpers dispatch on WireEncoding so the server's loop
+/// threads and the client encode each message in whatever the
+/// connection negotiated without branching at every call site.
 
 #include <cstdint>
 #include <string>

@@ -1,23 +1,22 @@
 #pragma once
 
 /// \file event_loop.hpp
-/// Readiness multiplexing for the transport threads of the tuning
-/// server: one `EventLoop` per transport thread watches every
-/// connection it owns (hundreds to thousands of sockets) plus a
-/// `WakeupFd` the acceptor and shard loops poke when they enqueue work
-/// on an SPSC lane — so the transport blocks in one `wait()` call
-/// instead of rebuilding a pollfd array per iteration and busy-ticking
-/// for lane traffic.
+/// Readiness multiplexing for the loop threads of the tuning server:
+/// one `EventLoop` per loop thread watches every connection it owns
+/// (hundreds to thousands of sockets) plus a `WakeupFd` the acceptor
+/// pokes when it hands the loop a new connection over an SPSC lane — so
+/// the loop blocks in one `wait()` call instead of rebuilding a pollfd
+/// array per iteration and busy-ticking for lane traffic.
 ///
 /// On Linux the loop is epoll (O(ready) dispatch, interest registered
 /// once per state change); elsewhere it degrades to poll(2) over an
 /// interest map kept by the same add/modify/remove API, so the
-/// transport code is platform-independent. The `WakeupFd` is an eventfd
+/// server code is platform-independent. The `WakeupFd` is an eventfd
 /// on Linux and a self-pipe elsewhere; `notify()` is cheap, thread-safe
 /// and coalescing (N notifies before a drain wake the loop once).
 ///
 /// Not thread-safe (except WakeupFd::notify): each EventLoop belongs to
-/// exactly one transport thread, matching the thread-per-role layout of
+/// exactly one loop thread, matching the thread layout of
 /// tuning_server.hpp.
 
 #include <atomic>

@@ -2,8 +2,8 @@
 
 /// \file protocol.hpp
 /// The wire protocol of the network tuning service (src/net/): framing,
-/// message codec, and the typed request/reply structures the transport
-/// and service-loop threads exchange.
+/// message codec, and the typed request/reply structures the client and
+/// the server's loop threads exchange.
 ///
 /// ## Framing
 ///
@@ -105,7 +105,7 @@
 ///
 /// Client → server (every request carries a client-chosen `req` token,
 /// echoed verbatim in the matching reply; `session` ids are
-/// server-assigned and globally unique across shards):
+/// server-assigned and unique across the whole server):
 ///
 ///   {"type":"open","req":R,"spec":SPEC}
 ///       SPEC is a service::SessionSpec document (session_spec.hpp)
@@ -117,9 +117,9 @@
 ///   {"type":"tell","req":R,"session":S,"config":C,"result":RESULT}
 ///       One completed profiling run.            reply: told
 ///   {"type":"next_runs","req":R}
-///       Nudges every shard to sweep its ready sessions (runs are pushed
-///       unprompted after open/tell; this is for drivers that dropped
-///       pushes, e.g. after restore).            reply: none
+///       Nudges the connection's loop to sweep its ready sessions (runs
+///       are pushed unprompted after open/tell; this is for drivers
+///       that dropped pushes, e.g. after restore).  reply: none
 ///   {"type":"snapshot","req":R,"session":S}     reply: snapshot
 ///   {"type":"result","req":R,"session":S}       reply: result
 ///   {"type":"close","req":R,"session":S}        reply: closed
@@ -242,7 +242,7 @@ struct Request {
 
 /// Parses one request payload. Throws std::runtime_error (including
 /// util/json parse errors) on anything structurally invalid — the
-/// transport maps that to a fatal "bad_message" error reply.
+/// server maps that to a fatal "bad_message" error reply.
 [[nodiscard]] Request parse_request(const std::string& payload);
 
 /// A decoded server → client message.

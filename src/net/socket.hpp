@@ -3,8 +3,8 @@
 /// \file socket.hpp
 /// Thin RAII + error-checked wrappers over the POSIX TCP calls the
 /// network front-end needs (src/net/). No abstraction is attempted
-/// beyond ownership and exceptions: the transport loops below work with
-/// raw fds and poll(2) directly.
+/// beyond ownership and exceptions: the server's loops work with raw
+/// fds and the readiness loop of net/event_loop.hpp directly.
 
 #include <cstdint>
 #include <stdexcept>

@@ -12,8 +12,8 @@
 /// is a loop, not an event system. drain() implements that loop against
 /// an eval::AsyncTableRunner for replayed datasets; real cluster drivers
 /// use take_run()/tell() directly. Not thread-safe: one client per
-/// driver thread (sessions of one client may still land on different
-/// server shards).
+/// driver thread (all sessions of one client live on the server loop
+/// that owns its connection).
 ///
 /// Any server `error` frame surfaces as a thrown ProtocolError carrying
 /// the typed code; since all current server errors are fatal, the

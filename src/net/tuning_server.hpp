@@ -3,81 +3,65 @@
 /// \file tuning_server.hpp
 /// The TCP front-end of the tuning service: `net::TuningServer` turns the
 /// single-process `service::TuningService` into a sharded network server
-/// speaking the length-prefixed JSON protocol of net/protocol.hpp. The
-/// step from "concurrent library" to "server" on the ROADMAP.
+/// speaking the length-prefixed protocol of net/protocol.hpp.
 ///
-/// ## Thread-per-role layout
+/// ## Thread layout: 1 acceptor + K loops
 ///
-/// One server runs 2·K + 1 threads for K shards (by default one shard
-/// per hardware thread, at most kMaxShards), wired exclusively by
-/// bounded lock-free SPSC queues (util/spsc_queue.hpp) — each lane has
-/// exactly one writer and one reader by construction, so no lock is ever
-/// taken on the request path:
+/// For K shards (by default one per hardware thread, at most kMaxShards)
+/// the server runs K + 1 threads:
 ///
-///   * **1 acceptor** owns the listening socket and assigns each accepted
-///     connection to transport `conn_id % K` over an acceptor→transport
-///     lane. When a transport's accept lane is full, the acceptor simply
-///     stops accepting — the kernel backlog is the natural backpressure.
-///   * **K transport threads** do framing and decode ONLY: each runs an
-///     epoll readiness loop (net/event_loop.hpp) over its connections
-///     plus a wakeup fd, splits byte streams into frames, parses each
-///     frame into a typed Request (JSON or negotiated binary —
-///     net/protocol.hpp, net/binary_codec.hpp), and pushes it down a
-///     transport→shard lane — never touching optimizer state. One
-///     transport thread multiplexes hundreds to thousands of
-///     connections; read buffers and frame scratch are reused so
-///     steady-state framing is allocation-free. Completions (encoded
-///     reply frames) come back over shard→transport lanes and are
-///     flushed to the owning connection. Malformed input (bad frame,
-///     bad JSON/binary, unknown message, broken handshake) is answered
-///     with a typed fatal `error` frame and the connection is closed —
-///     the service loops never see it.
-///   * **K service-loop threads** each own one `service::TuningService`
-///     (FIFO event loop, per-shard RootCache): pop requests, apply them,
-///     sweep `next_runs()`, and push replies + server-initiated `run`
-///     frames back to the transports. The server itself executes no
-///     profiling runs — remote drivers own their clusters (or replay
-///     tables) and tell results back.
+///   * **1 acceptor** owns the listening socket and hands each accepted
+///     connection to loop `conn_id % K` over a bounded SPSC lane
+///     (util/spsc_queue.hpp), ringing the loop's doorbell. When a lane is
+///     full the acceptor holds that one connection and stops accepting —
+///     the kernel backlog is the natural backpressure.
+///   * **K loop threads** each run an epoll readiness loop
+///     (net/event_loop.hpp) over the connections they were handed and own
+///     one FIFO `service::TuningService` holding every session those
+///     connections open. A loop splits each byte stream into frames,
+///     decodes a frame (JSON or negotiated binary — net/protocol.hpp,
+///     net/binary_codec.hpp) and applies it on the spot: open, tell plus
+///     sweep, snapshot, result, close. The reply and any pushed `run`
+///     frames are appended to the connection's output buffer, flushed
+///     with one `send` once the input at hand is decoded. Malformed input
+///     (bad frame, bad JSON/binary, unknown message, broken handshake) is
+///     answered with a typed fatal `error` frame and the connection is
+///     closed. The server executes no profiling runs — remote drivers own
+///     their clusters (or replay tables) and tell results back.
 ///
-/// ## Backpressure (parked readers, never blocking spins)
+/// ## Placement: sessions live on their connection's loop
 ///
-/// No thread ever spin-blocks on a full SPSC lane. When a transport
-/// cannot push a decoded request because its lane into the owning shard
-/// is full, it *parks* the connection: the request waits in a
-/// per-connection pending queue, the connection's read interest is
-/// dropped (so the kernel's TCP window throttles the remote driver),
-/// and decoding resumes — in order — once the lane drains. Each park is
-/// counted per lane and surfaced with the lane's high-water mark via
-/// request_lane_stats(), so saturation is observable instead of silent.
-/// In the reverse direction a shard never blocks either: replies that
-/// do not fit their lane overflow into a shard-local queue flushed
-/// ahead of new work. Threads sleep on wakeup fds / the event loop when
-/// idle, and are poked by their producers — no busy ticks.
+/// A session belongs to the connection that opened it (any other
+/// connection naming it gets a typed error), so it lives on that
+/// connection's loop: a request never crosses a thread, and a loop is
+/// busy exactly when one of its connections has work. A synchronous
+/// driver keeps one request in flight per connection, so this placement
+/// costs it no parallelism, and connections on different loops never
+/// wait on each other. Wire session ids come from one server-wide
+/// counter; when a connection dies its loop closes the sessions it
+/// owned.
 ///
-/// ## Sharding
+/// ## Backpressure: a cap on unsent output
 ///
-/// Session ids are allocated from one global counter at decode time and
-/// hash-partitioned across shards by `id % K`, so every request for a
-/// session deterministically routes to the shard owning it and ids are
-/// unique across the server. A connection's sessions may live on any
-/// subset of shards; when a connection dies, every shard closes the
-/// sessions it owned for it. Each shard decides one request at a time,
-/// so K bounds how many decisions run at once: the default K is the
-/// machine's hardware thread count. The K² request lanes carry
-/// tell-sized records (the Open/Restore payload is boxed behind a
-/// pointer), so lane memory stays small as K grows.
+/// A loop stops reading a connection while that connection's unsent
+/// output exceeds kMaxUnsentOutput, and resumes — in order — once the
+/// peer has drained it below the cap. The kernel's TCP window then
+/// throttles a driver that writes without reading, so its memory on the
+/// server stays bounded and its loop keeps serving every other
+/// connection. Loops sleep in the event loop when idle and are woken by
+/// socket readiness or the acceptor's doorbell — no busy ticks.
 ///
 /// ## Determinism contract
 ///
 /// A session opened over the wire is byte-identical to the same
 /// SessionSpec opened in process: specs, results and snapshots cross the
 /// wire through the bit-exact codec (JsonWriter::value_exact), each
-/// session lives entirely on one single-threaded shard loop, and the
+/// session lives entirely on one single-threaded loop, and the
 /// per-session trajectory contract of service/tuning_service.hpp is
-/// interleaving-independent — so neither the transport threads, the
-/// shard count, nor the number of concurrent connections can move a byte
-/// of any trajectory. tests/test_net_service.cpp pins 64 remote sessions
-/// across shards against their solo in-process runs.
+/// interleaving-independent — so neither the shard count, the placement,
+/// nor the number of concurrent connections can move a byte of any
+/// trajectory. tests/test_net_service.cpp pins 64 remote sessions across
+/// loops against their solo in-process runs.
 
 #include <algorithm>
 #include <atomic>
@@ -108,21 +92,25 @@ class TuningServer {
   /// typed "bad_negotiation" error.
   enum class WirePolicy { kNegotiate, kJsonOnly, kBinaryOnly };
 
-  /// Upper bound on Options::shards: the server wires a K×K matrix of
-  /// request lanes (and one of reply lanes), so K stays small.
+  /// Upper bound on Options::shards: every shard is a loop thread of its
+  /// own, so far more shards than cores only oversubscribes the machine.
   static constexpr std::size_t kMaxShards = 64;
+
+  /// A loop stops reading a connection while more than this many bytes
+  /// of its output are unsent (see "Backpressure" above).
+  static constexpr std::size_t kMaxUnsentOutput = std::size_t{1} << 20;
 
   struct Options {
     std::string host = "127.0.0.1";
     /// 0 = ephemeral (query the bound port with port()).
     std::uint16_t port = 0;
-    /// Independent service loops, in [1, kMaxShards]; sessions are
-    /// partitioned by `session_id % shards`. Defaults to one per
-    /// hardware thread: each shard decides one request at a time, so
-    /// fewer shards than cores leaves cores idle under load.
+    /// Loop threads, in [1, kMaxShards]; connection c (in accept order)
+    /// and every session it opens live on loop `c % shards`. Defaults to
+    /// one per hardware thread: each loop decides one request at a time,
+    /// so fewer loops than cores leaves cores idle under load.
     std::size_t shards = std::clamp<std::size_t>(
         std::thread::hardware_concurrency(), 1, kMaxShards);
-    /// Per-shard RootCache capacity (0 = off). Sessions sharing a shard
+    /// Per-loop RootCache capacity (0 = off). Sessions sharing a loop
     /// AND a recurrent problem warm-start each other, exactly as in the
     /// in-process service; trajectories are unaffected.
     std::size_t root_cache_capacity = 0;
@@ -130,33 +118,26 @@ class TuningServer {
     service::RunPolicy run_policy;
     /// Frames larger than this are a fatal protocol error.
     std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
-    /// Capacity of each SPSC lane. Requests/replies queue here while the
-    /// peer thread is busy; a full request lane parks the connection's
-    /// read interest (see "Backpressure" above) instead of blocking. A
-    /// closed-loop driver keeps about one request per lane in flight,
-    /// so 64 slots is ample headroom; K² lanes are allocated up front.
-    std::size_t lane_capacity = 64;
     /// Encodings the hello handshake may pick (default: both).
     WirePolicy wire = WirePolicy::kNegotiate;
-    /// Pin shard s to core s and transport t to core K+t (mod cores) —
-    /// opt-in cache/lane locality (util/affinity.hpp). Trajectories are
-    /// unaffected either way.
+    /// Pin loop t to core t (mod cores) — opt-in cache locality
+    /// (util/affinity.hpp). Trajectories are unaffected either way.
     bool pin_threads = false;
   };
 
-  /// Saturation counters of one transport→shard request lane
+  /// Saturation counters of one acceptor→loop connection lane
   /// (request_lane_stats()).
   struct LaneStats {
-    std::size_t transport = 0;
-    std::size_t shard = 0;
+    std::size_t loop = 0;
     std::size_t capacity = 0;
     /// Highest occupancy any push observed (SpscQueue::high_water).
     std::size_t high_water = 0;
-    /// Requests that found the lane full and parked their connection.
+    /// Connections that found the lane full and were held by the
+    /// acceptor until it drained.
     std::size_t stalls = 0;
   };
 
-  /// Binds, spawns the acceptor/transport/shard threads, and serves until
+  /// Binds, spawns the acceptor and loop threads, and serves until
   /// stop() or destruction.
   TuningServer();
   explicit TuningServer(Options options);
@@ -183,62 +164,36 @@ class TuningServer {
   /// Idempotent.
   void stop();
 
-  /// Sessions ever opened per shard (monitoring/tests; racy snapshot).
+  /// Sessions ever opened per loop (monitoring/tests; racy snapshot).
   [[nodiscard]] std::vector<std::size_t> shard_session_counts() const;
 
-  /// Per-lane saturation stats for all K·K transport→shard request
-  /// lanes (monitoring/tests; racy snapshot). Ordered [t][s] flattened.
+  /// Saturation stats of the K acceptor→loop lanes, in loop order
+  /// (monitoring/tests; racy snapshot).
   [[nodiscard]] std::vector<LaneStats> request_lane_stats() const;
 
  private:
-  /// A connection handed from the acceptor to its transport thread.
+  /// One loop thread's connections, sessions and service
+  /// (tuning_server.cpp).
+  class Loop;
+
+  /// A connection handed from the acceptor to its loop.
   struct NewConn {
     int fd = -1;
     std::uint64_t id = 0;
   };
 
-  /// The Open/Restore part of a request, boxed so that lane slots stay
-  /// tell-sized (an open allocates a session anyway).
-  struct OpenPayload {
-    service::SessionSpec spec;
-    std::string snapshot;  ///< Restore only
-  };
-
-  /// One decoded request on a transport→shard lane: the fields of a
-  /// net::Request a tell needs, inline, and the rest behind `open`.
-  struct ShardRequest {
-    enum class Kind : std::uint8_t { Request, ConnClosed };
-    Kind kind = Kind::Request;
-    /// The connection's negotiated frame encoding — the shard encodes
-    /// every reply (and every pushed run for sessions this request
-    /// opens) with it.
-    WireEncoding enc = WireEncoding::kJson;
-    Request::Type type = Request::Type::NextRuns;
-    std::uint64_t req = 0;
-    std::uint64_t conn = 0;
-    std::uint64_t session = 0;  ///< tell / snapshot / result / close
-    core::ConfigId config = 0;  ///< tell
-    core::RunResult result;     ///< tell
-    /// Pre-allocated global session id (Open/Restore only; the transport
-    /// allocates so it can route the request to `id % shards`).
-    std::uint64_t global_session = 0;
-    std::unique_ptr<OpenPayload> open;  ///< Open/Restore only
-  };
-  // Every lane slot is preallocated (K² lanes × lane_capacity), so a
-  // slot must stay tell-sized: grow OpenPayload, not this record.
-  static_assert(sizeof(ShardRequest) <= 128);
-
-  /// One encoded reply (or pushed run) on a shard→transport lane.
-  struct TransportReply {
-    std::uint64_t conn = 0;
-    std::string bytes;  ///< already framed
-    /// Fatal: flush, then close the connection.
-    bool close_conn = false;
+  /// What the acceptor and monitoring share with one loop thread.
+  struct LoopShared {
+    explicit LoopShared(std::size_t lane_capacity) : accepts(lane_capacity) {}
+    util::SpscQueue<NewConn> accepts;
+    /// Rung by the acceptor after a push, and by stop().
+    WakeupFd wake;
+    std::atomic<std::size_t> holds{0};
+    std::atomic<std::size_t> opened{0};
   };
 
   void acceptor_loop();
-  void transport_loop(std::size_t t);
-  void shard_loop(std::size_t s);
+  void run_loop(std::size_t t);
 
   /// Resolves the spec's problem against the registry / bundled suites.
   /// Returned pointer is stable for the server's lifetime. Throws
@@ -251,27 +206,13 @@ class TuningServer {
   std::uint16_t port_ = 0;
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> next_session_{0};
-
-  std::vector<std::unique_ptr<util::SpscQueue<NewConn>>> accept_lanes_;
-  /// request_lanes_[t][s]: transport t → shard s.
-  std::vector<std::vector<std::unique_ptr<util::SpscQueue<ShardRequest>>>>
-      request_lanes_;
-  /// reply_lanes_[s][t]: shard s → transport t.
-  std::vector<std::vector<std::unique_ptr<util::SpscQueue<TransportReply>>>>
-      reply_lanes_;
-  /// Doorbells: producers ring these after pushing onto a lane so the
-  /// consumer (transport event loop / idle shard) wakes immediately.
-  std::vector<std::unique_ptr<WakeupFd>> transport_wakeups_;
-  std::vector<std::unique_ptr<WakeupFd>> shard_wakeups_;
-  /// Park events per request lane, flattened [t * shards + s].
-  std::unique_ptr<std::atomic<std::size_t>[]> lane_stalls_;
+  std::vector<std::unique_ptr<LoopShared>> loops_;
 
   mutable std::mutex problems_mutex_;
   /// Stable-address problem storage, keyed "suite\njob" (registered) or
   /// "suite\njob\nb" (bundled, built on first use).
   std::map<std::string, std::unique_ptr<core::OptimizationProblem>> problems_;
 
-  std::unique_ptr<std::atomic<std::size_t>[]> shard_opened_;
   std::vector<std::thread> threads_;
 };
 

@@ -1,11 +1,11 @@
 #pragma once
 
 /// \file affinity.hpp
-/// Best-effort core pinning for the server's transport and shard
-/// threads (TuningServer::Options::pin_threads). Pinning removes the
-/// scheduler's freedom to migrate a hot thread mid-burst — cache- and
-/// lane-locality for the SPSC wiring — at the cost of load-balancing
-/// freedom, so it is opt-in. A failed or unsupported pin is reported by
+/// Best-effort core pinning for the server's loop threads
+/// (TuningServer::Options::pin_threads: loop t on core t). Pinning
+/// removes the scheduler's freedom to migrate a hot thread mid-burst —
+/// cache locality for the sessions a loop owns — at the cost of
+/// load-balancing freedom, so it is opt-in. A failed or unsupported pin is reported by
 /// return value and otherwise ignored: affinity is a performance hint,
 /// never a correctness requirement (trajectories are pinned by the
 /// determinism contract, not by cores).

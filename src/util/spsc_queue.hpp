@@ -3,11 +3,10 @@
 /// \file spsc_queue.hpp
 /// A bounded lock-free single-producer/single-consumer ring buffer — the
 /// sibling of the MPMC run queue in mpmc_queue.hpp, specialized for the
-/// point-to-point lanes of the network front-end (src/net/): each
-/// transport thread owns exactly one request lane into each service-loop
-/// shard and each shard owns one completion lane back, so every lane has
-/// one writer and one reader by construction and the CAS traffic of the
-/// MPMC design buys nothing.
+/// point-to-point lanes of the network front-end (src/net/): the
+/// server's acceptor owns exactly one connection lane into each loop
+/// thread, so every lane has one writer and one reader by construction
+/// and the CAS traffic of the MPMC design buys nothing.
 ///
 /// Design: classic Lamport ring with cached cursors. The producer owns
 /// `tail_` and keeps a private copy of the consumer's `head_` (refreshed
@@ -109,8 +108,8 @@ class SpscQueue {
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
   /// True when there is nothing to pop. Consumer thread only — this is
-  /// the cheap lane probe behind the transport/shard armed-doorbell
-  /// sleep (arm, re-check every lane with empty(), then block).
+  /// the cheap lane probe behind a loop thread's armed-doorbell sleep
+  /// (arm, re-check the lane with empty(), then block).
   [[nodiscard]] bool empty() const noexcept {
     return head_.load(std::memory_order_relaxed) >=
            tail_.load(std::memory_order_acquire);

@@ -2,9 +2,9 @@
 /// determinism contract (remote sessions byte-identical to solo
 /// in-process runs, across shards and concurrent connections), protocol
 /// hardening (malformed frames get a typed error and a closed connection,
-/// never a crash), snapshot/restore over the wire, and shard
-/// partitioning. Runs under the `net` ctest label; the stressy cases are
-/// also in the TSan CI leg via the `concurrency` label.
+/// never a crash), snapshot/restore over the wire, session placement and
+/// output backpressure. Runs under the `net` ctest label; the stressy
+/// cases are also in the TSan CI leg via the `concurrency` label.
 
 #include "net/tuning_server.hpp"
 
@@ -160,9 +160,8 @@ TEST(NetService, SixtyFourConcurrentRemoteSessionsMatchTheirSoloRuns) {
   EXPECT_EQ(counts[0] + counts[1], kSessions);
 }
 
-/// The default server runs one shard per hardware thread, and its K²
-/// request lanes are sized for tells (a closed-loop driver keeps about
-/// one request per lane in flight), not for bursts.
+/// The default server runs one loop thread per hardware thread, and the
+/// acceptor feeds each loop through one connection lane of its own.
 TEST(NetService, DefaultServerRunsOneShardPerHardwareThread) {
   const std::size_t hw = std::thread::hardware_concurrency();
   const std::size_t expected =
@@ -172,17 +171,18 @@ TEST(NetService, DefaultServerRunsOneShardPerHardwareThread) {
 
   const std::vector<TuningServer::LaneStats> stats =
       server.request_lane_stats();
-  ASSERT_EQ(stats.size(), expected * expected);
-  for (const TuningServer::LaneStats& ls : stats) {
-    EXPECT_EQ(ls.capacity, 64U);
-    EXPECT_EQ(ls.high_water, 0U);
-    EXPECT_EQ(ls.stalls, 0U);
+  ASSERT_EQ(stats.size(), expected);
+  for (std::size_t t = 0; t < stats.size(); ++t) {
+    EXPECT_EQ(stats[t].loop, t);
+    EXPECT_GT(stats[t].capacity, 0U);
+    EXPECT_EQ(stats[t].high_water, 0U);
+    EXPECT_EQ(stats[t].stalls, 0U);
   }
 }
 
 /// More shards must not move a byte: 16 sessions on 2 connections
-/// against a server at its default options (every hardware thread a
-/// shard, small lanes) land exactly on their solo runs.
+/// against a server at its default options (one loop per hardware
+/// thread) land exactly on their solo runs.
 TEST(NetService, DefaultOptionsSessionsMatchTheirSoloRuns) {
   TuningServer server;
   server.register_problem("test", "tinybowl", lynceus::testing::tiny_problem());
@@ -345,34 +345,27 @@ TEST(NetService, SnapshotRestoreOverTheWireFinishesByteIdentically) {
   }
 }
 
-TEST(NetService, SequentialSessionIdsPartitionEvenlyAcrossShards) {
-  const auto ds = lynceus::testing::tiny_dataset();
+/// A session lives on the loop of the connection that opened it:
+/// connection c (in accept order) is served by loop `c % shards`.
+TEST(NetService, SessionsLiveOnTheirConnectionsLoop) {
   const auto problem = lynceus::testing::tiny_problem();
   TuningServer::Options opts;
   opts.shards = 4;
-  TuningServer server(opts);
-  server.register_problem("test", "tinybowl", problem);
-
-  TuningClient client("127.0.0.1", server.port());
-  eval::AsyncTableRunner runner(ds);
-  std::vector<std::uint64_t> ids;
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    service::SessionSpec spec;
-    spec.optimizer = "random";
-    spec.seed = seed;
-    spec.problem_ref = service::ProblemRef{"test", "tinybowl", 3.0};
-    ids.push_back(client.open(spec));
+  {
+    // 8 opens on one connection all land on that connection's loop.
+    TuningServer server(opts);
+    server.register_problem("test", "tinybowl", problem);
+    expect_remote_fleet_matches_solo(server, 8, 1);
+    EXPECT_EQ(server.shard_session_counts(),
+              (std::vector<std::size_t>{8, 0, 0, 0}));
   }
-  client.drain(runner);
-  for (const std::uint64_t id : ids) {
-    EXPECT_TRUE(client.result(id).finished) << "session " << id;
-  }
-
-  // Ids come from one global counter, so 8 opens land 2 per shard.
-  const std::vector<std::size_t> counts = server.shard_session_counts();
-  ASSERT_EQ(counts.size(), 4U);
-  for (std::size_t s = 0; s < counts.size(); ++s) {
-    EXPECT_EQ(counts[s], 2U) << "shard " << s;
+  {
+    // 4 connections opening 2 sessions each: one connection per loop.
+    TuningServer server(opts);
+    server.register_problem("test", "tinybowl", problem);
+    expect_remote_fleet_matches_solo(server, 8, 4);
+    EXPECT_EQ(server.shard_session_counts(),
+              (std::vector<std::size_t>{2, 2, 2, 2}));
   }
 }
 
@@ -678,50 +671,76 @@ TEST(NetService, MalformedBinaryFramesGetTypedErrors) {
   EXPECT_TRUE(survivor.result(id).finished);
 }
 
-/// Backpressure correctness: with the smallest possible lanes every
-/// request parks its connection sooner or later, and trajectories must
-/// STILL land byte-identical — parking pauses reads, it never reorders
-/// or drops. The saturation must be visible in request_lane_stats().
-TEST(NetService, TinyLanesParkReadersWithoutCorruptingTrajectories) {
+/// Backpressure: a driver that writes without reading must neither grow
+/// the server's memory without bound nor stall the other connections on
+/// its loop. Connection A pipelines thousands of `result` requests and
+/// reads nothing, so the loop stops reading A once A's unsent replies
+/// pass the output cap and TCP throttles A's writer. Meanwhile B, on the
+/// same (only) loop, drives a session to completion byte-identically to
+/// its solo run; then A reads every reply, in request order.
+TEST(NetService, NonReadingConnectionIsThrottledWithoutStallingItsLoop) {
   const auto ds = lynceus::testing::tiny_dataset();
   const auto problem = lynceus::testing::tiny_problem();
   TuningServer::Options opts;
-  opts.shards = 2;
-  opts.lane_capacity = 1;  // every burst overflows
+  opts.shards = 1;
   TuningServer server(opts);
   server.register_problem("test", "tinybowl", problem);
+  // A budget wide enough to explore the whole space.
+  server.register_problem("test", "widebowl",
+                          lynceus::testing::tiny_problem(100.0));
 
-  constexpr std::uint64_t kSessions = 8;
-  TuningClient client("127.0.0.1", server.port());
-  eval::AsyncTableRunner runner(ds);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> opened;
-  for (std::uint64_t seed = 1; seed <= kSessions; ++seed) {
-    opened.emplace_back(seed, client.open(remote_lynceus_spec(seed)));
+  // A's session explores every configuration before the burst, so each
+  // JSON result reply carries a 24-step history (~2 KB): the burst's
+  // ~10 MB of replies far exceed the cap plus what loopback buffers.
+  TuningClient a("127.0.0.1", server.port(), kDefaultMaxFrameBytes,
+                 TuningClient::WireMode::kJson);
+  service::SessionSpec wide;
+  wide.optimizer = "random";
+  wide.seed = 3;
+  wide.problem_ref = service::ProblemRef{"test", "widebowl", 3.0};
+  const std::uint64_t a_id = a.open(wide);
+  {
+    eval::AsyncTableRunner runner(ds);
+    a.drain(runner);
   }
-  client.drain(runner);
-  for (const auto& [seed, id] : opened) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    const TuningClient::ResultReply reply = client.result(id);
-    ASSERT_TRUE(reply.finished);
+  ASSERT_EQ(a.result(a_id).result.history.size(),
+            lynceus::testing::tiny_space()->size());
+  constexpr std::uint64_t kRequests = 5000;
+  constexpr std::uint64_t kFirstReq = 1'000'000;
+  std::string burst;
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    burst += encode_frame(
+        encode_result_request_wire(a.encoding(), kFirstReq + i, a_id));
+  }
+  // Blocks in send() while the server is not reading A.
+  std::thread writer([&] { a.send_raw(burst); });
+
+  TuningClient b("127.0.0.1", server.port());
+  const std::uint64_t b_id = b.open(remote_lynceus_spec(4));
+  {
+    eval::AsyncTableRunner runner(ds);
+    b.drain(runner);
+  }
+  const TuningClient::ResultReply b_reply = b.result(b_id);
+  EXPECT_TRUE(b_reply.finished);
+  {
     eval::TableRunner solo(ds);
-    auto stepper = core::LynceusOptimizer(lynceus_options_for(seed))
-                       .make_stepper(problem, seed);
-    expect_identical(reply.result, core::drive(*stepper, solo));
+    auto stepper = core::LynceusOptimizer(lynceus_options_for(4))
+                       .make_stepper(problem, 4);
+    expect_identical(b_reply.result, core::drive(*stepper, solo));
   }
 
-  const std::vector<TuningServer::LaneStats> stats =
-      server.request_lane_stats();
-  ASSERT_EQ(stats.size(), 4U);  // 2 transports x 2 shards
-  std::size_t total_high_water = 0;
-  for (const TuningServer::LaneStats& ls : stats) {
-    EXPECT_EQ(ls.capacity, 1U);
-    EXPECT_LE(ls.high_water, ls.capacity);
-    total_high_water += ls.high_water;
+  std::size_t in_order = 0;
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    const ServerMessage m = a.read_message();
+    if (m.type != ServerMessage::Type::Result || m.req != kFirstReq + i ||
+        m.session != a_id || !m.finished) {
+      break;
+    }
+    ++in_order;
   }
-  // Traffic flowed through at least one lane of the connection's
-  // transport; stall counts are load-dependent and only asserted >= 0
-  // implicitly by type.
-  EXPECT_GT(total_high_water, 0U);
+  writer.join();
+  EXPECT_EQ(in_order, kRequests);
 }
 
 TEST(NetService, StopClosesClientConnections) {

@@ -1,10 +1,10 @@
-/// Connection-fan-in soak for the epoll transport (net/event_loop.hpp):
-/// hundreds of concurrent connections multiplexed by a handful of
-/// transport threads, every session's trajectory still byte-identical
-/// to its solo in-process run. The point is the CEILING — the old
-/// blocking-read design capped out at roughly one connection per
-/// transport thread time-slice; the readiness loop must hold 512+
-/// sockets open and live at once.
+/// Connection-fan-in soak for the epoll readiness loop
+/// (net/event_loop.hpp): hundreds of concurrent connections multiplexed
+/// by a handful of loop threads, every session's trajectory still
+/// byte-identical to its solo in-process run. The point is the CEILING —
+/// a blocking-read design caps out at roughly one connection per thread
+/// time-slice; the readiness loop must hold 512+ sockets open and live
+/// at once.
 ///
 /// Sized by build flavor: 512 connections in plain builds, fewer under
 /// ASan/TSan (sanitizer thread/shadow overhead, CI wall-clock). The

@@ -1,5 +1,5 @@
-/// Unit + stress coverage for util::SpscQueue — the lanes wiring the
-/// network front-end's acceptor/transport/service-loop threads
+/// Unit + stress coverage for util::SpscQueue — the lanes from the
+/// network front-end's acceptor to its loop threads
 /// (src/net/tuning_server.hpp). Stress cases run under the `concurrency`
 /// ctest label, so the TSan CI leg checks the two-index Lamport protocol
 /// (and its cached-cursor fast path) for ordering bugs.

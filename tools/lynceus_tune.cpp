@@ -92,12 +92,13 @@ Flags:
               becomes a censored timed-out observation at the cap
   --serve PORT       run a network tuning service on 127.0.0.1:PORT
               (PORT 0 = ephemeral, printed at startup) and block until
-              stdin reaches EOF. Transport threads frame/decode, --shards
-              independent service loops decide; sessions are
-              hash-partitioned across them. --max-retries/--run-timeout
-              set the server's default RunPolicy; the tuning flags are
-              unused (clients send their own SessionSpec).
-  --shards K         with --serve: number of service loops, 1 to 64
+              stdin reaches EOF. Each of --shards loop threads frames,
+              decodes, decides and replies for the connections assigned
+              to it; a session lives on the loop of the connection that
+              opened it. --max-retries/--run-timeout set the server's
+              default RunPolicy; the tuning flags are unused (clients
+              send their own SessionSpec).
+  --shards K         with --serve: number of loop threads, 1 to 64
               (default: one per hardware thread, at most 64)
   --wire W           frame-body encoding, "json" or "binary". Default:
               negotiate — the client offers binary and the server picks
@@ -107,8 +108,8 @@ Flags:
               --connect, "binary" demands binary (typed bad_negotiation
               error if refused) and "json" skips the handshake.
               Trajectories are byte-identical under either encoding.
-  --pin-threads      with --serve: pin shard s to core s and transport t
-              to core K+t (cache/lane locality; perf hint only)
+  --pin-threads      with --serve: pin loop t to core t (cache
+              locality; perf hint only)
   --connect HOST:PORT  tune over the network instead of in process: open
               --sessions sessions (default 1) built from the usual
               suite/job/optimizer flags, execute the profiling runs the
@@ -422,13 +423,13 @@ int run_serve(std::uint16_t port, std::size_t shards,
   while ((c = std::fgetc(stdin)) != EOF) {
   }
   server.stop();
-  // Lane saturation report: a stall means a request parked its
-  // connection because the shard lane was full — sustained stalls say
-  // "more shards", a high-water near capacity says "bursty".
+  // Accept-lane report: a stall means the acceptor held a new
+  // connection because its loop had not picked up earlier ones yet — a
+  // connect burst outpacing a busy loop.
   for (const net::TuningServer::LaneStats& ls : server.request_lane_stats()) {
     if (ls.high_water == 0 && ls.stalls == 0) continue;
-    std::printf("lane t%zu->s%zu: high water %zu/%zu, %zu stalls\n",
-                ls.transport, ls.shard, ls.high_water, ls.capacity, ls.stalls);
+    std::printf("accept lane -> loop %zu: high water %zu/%zu, %zu held\n",
+                ls.loop, ls.high_water, ls.capacity, ls.stalls);
   }
   return 0;
 }
