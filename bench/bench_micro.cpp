@@ -775,12 +775,12 @@ SessionThroughputStats measure_session_throughput(std::size_t sessions,
   return out;
 }
 
-/// Inter-session scaling (ISSUE 7 / ROADMAP "Inter-session parallel
-/// scheduling"): N concurrent Lynceus sessions with *distinct* seeds —
-/// independent jobs, the fleet scenario — drained either by the
-/// single-threaded FIFO loop (workers == 0, the baseline) or by the
-/// throughput-mode worker pool (workers >= 1). No root cache in either
-/// mode (throughput mode requires it off; the baseline matches so the
+/// Inter-session scaling: N concurrent Lynceus sessions with *distinct*
+/// seeds — independent jobs, the fleet scenario — drained by one loop on
+/// the calling thread (workers 0 and 1 run the very same loop; w0 is the
+/// baseline) or by `workers` session-owning loops, each with its share of
+/// the split runner, dry loops stealing ready sessions. No root cache in
+/// any mode (throughput mode requires it off; the baseline matches so the
 /// comparison is pure scheduling). Per-session trajectories are
 /// byte-identical across all modes by the throughput contract, so
 /// decisions/s compares the same work.

@@ -205,57 +205,40 @@ std::optional<double> AsyncTableRunner::next_finish_time() const {
   return pending_.front().finish_time;
 }
 
-AsyncCompletionPump::AsyncCompletionPump(AsyncTableRunner& runner,
-                                         Callback deliver)
-    : runner_(&runner), deliver_(std::move(deliver)) {
-  if (!deliver_) {
-    throw std::invalid_argument("AsyncCompletionPump: null delivery callback");
+std::vector<AsyncTableRunner> AsyncTableRunner::split(std::size_t parts) {
+  if (parts == 0) {
+    throw std::invalid_argument("AsyncTableRunner::split: zero parts");
   }
-  thread_ = std::thread(&AsyncCompletionPump::loop, this);
-}
-
-AsyncCompletionPump::~AsyncCompletionPump() { stop(); }
-
-std::uint64_t AsyncCompletionPump::submit(
-    std::uint64_t tag, space::ConfigId config,
-    const AsyncTableRunner::SubmitOptions& options) {
-  std::uint64_t ticket;
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    ticket = runner_->submit(tag, config, options);
+  std::vector<AsyncTableRunner> out(parts, AsyncTableRunner(*dataset_));
+  for (AsyncTableRunner& part : out) {
+    part.metrics_ = metrics_;
+    part.plan_ = plan_;
+    part.now_ = now_;
+    part.next_ticket_ = next_ticket_;
   }
-  cv_.notify_one();
-  return ticket;
-}
-
-bool AsyncCompletionPump::stalled(const std::function<bool()>& idle_check) {
-  std::lock_guard<std::mutex> lk(mutex_);
-  // A poppable completion means the pump thread will deliver it; holding
-  // the lock here guarantees no delivery is mid-flight while we look.
-  if (runner_->next_finish_time().has_value()) return false;
-  return idle_check();
-}
-
-void AsyncCompletionPump::stop() {
-  {
-    std::lock_guard<std::mutex> lk(mutex_);
-    stop_ = true;
+  // Tickets are unique, so each part pops its runs in the order this
+  // runner would have, whatever order they are pushed in.
+  for (Completion& c : pending_) {
+    AsyncTableRunner& part = out[c.tag % parts];
+    part.pending_.push_back(std::move(c));
+    std::push_heap(part.pending_.begin(), part.pending_.end(),
+                   FinishesLater{});
   }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
+  pending_.clear();
+  return out;
 }
 
-void AsyncCompletionPump::loop() {
-  std::unique_lock<std::mutex> lk(mutex_);
-  while (!stop_) {
-    std::optional<AsyncTableRunner::Completion> c = runner_->next_completion();
-    if (c.has_value()) {
-      deliver_(*c);
-      continue;
+void AsyncTableRunner::fold(std::vector<AsyncTableRunner>& parts) {
+  for (AsyncTableRunner& part : parts) {
+    served_ += part.served_;
+    now_ = std::max(now_, part.now_);
+    next_ticket_ = std::max(next_ticket_, part.next_ticket_);
+    for (Completion& c : part.pending_) {
+      pending_.push_back(std::move(c));
+      std::push_heap(pending_.begin(), pending_.end(), FinishesLater{});
     }
-    // Idle (or only forever-hung runs remain): sleep until a submit or
-    // stop wakes us. Spurious wakeups just re-poll.
-    cv_.wait(lk);
+    part.pending_.clear();
+    part.served_ = 0;
   }
 }
 

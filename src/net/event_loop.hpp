@@ -4,7 +4,7 @@
 /// Readiness multiplexing for the loop threads of the tuning server:
 /// one `EventLoop` per loop thread watches every connection it owns
 /// (hundreds to thousands of sockets) plus a `WakeupFd` the acceptor
-/// pokes when it hands the loop a new connection over an SPSC lane — so
+/// pokes when it hands the loop a new connection through its lane — so
 /// the loop blocks in one `wait()` call instead of rebuilding a pollfd
 /// array per iteration and busy-ticking for lane traffic.
 ///

@@ -2,7 +2,6 @@
 
 #include <poll.h>
 #include <sys/socket.h>
-#include <time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -34,10 +33,6 @@ std::string bundled_key(const std::string& suite, const std::string& job,
   return suite + '\n' + job + '\n' + w.str();
 }
 
-/// Slots in each acceptor→loop lane: a lane only holds connections the
-/// loop has not picked up yet.
-constexpr std::size_t kAcceptLaneCapacity = 64;
-
 }  // namespace
 
 TuningServer::TuningServer() : TuningServer(Options{}) {}
@@ -55,7 +50,7 @@ TuningServer::TuningServer(Options options) : options_(std::move(options)) {
   const std::size_t k = options_.shards;
   loops_.reserve(k);
   for (std::size_t t = 0; t < k; ++t) {
-    loops_.push_back(std::make_unique<LoopShared>(kAcceptLaneCapacity));
+    loops_.push_back(std::make_unique<LoopShared>());
   }
   threads_.reserve(k + 1);
   for (std::size_t t = 0; t < k; ++t) {
@@ -92,8 +87,8 @@ std::vector<TuningServer::LaneStats> TuningServer::request_lane_stats() const {
   out.reserve(loops_.size());
   for (std::size_t t = 0; t < loops_.size(); ++t) {
     const LoopShared& l = *loops_[t];
-    out.push_back(LaneStats{t, l.accepts.capacity(), l.accepts.high_water(),
-                            l.holds.load(std::memory_order_relaxed)});
+    std::lock_guard<std::mutex> lock(l.mutex);
+    out.push_back(LaneStats{t, l.high_water, 0});
   }
   return out;
 }
@@ -154,43 +149,26 @@ const core::OptimizationProblem* TuningServer::resolve_problem(
 
 void TuningServer::acceptor_loop() {
   std::uint64_t next_conn = 0;
-  // An accepted connection whose loop's lane was full; retried before
-  // accepting more. While it waits, the acceptor simply stops draining
-  // the kernel backlog — TCP's own backpressure.
-  NewConn held{};
-  bool holding = false;
   pollfd pfd{};
   pfd.fd = listener_.fd();
   pfd.events = POLLIN;
   while (!stop_.load(std::memory_order_relaxed)) {
-    if (holding) {
-      LoopShared& l = *loops_[held.id % options_.shards];
-      if (!l.accepts.try_push(NewConn(held))) {
-        struct timespec ts {0, 1'000'000};
-        ::nanosleep(&ts, nullptr);
-        continue;
-      }
-      l.wake.notify();
-      holding = false;
-    }
     pfd.revents = 0;
     const int rc = ::poll(&pfd, 1, 50);
     if (rc <= 0) continue;
-    while (!holding) {
+    while (true) {
       const int fd = ::accept(listener_.fd(), nullptr, nullptr);
       if (fd < 0) break;  // EAGAIN / transient: poll again
       const NewConn nc{fd, next_conn++};
       LoopShared& l = *loops_[nc.id % options_.shards];
-      if (l.accepts.try_push(NewConn(nc))) {
-        l.wake.notify();
-      } else {
-        l.holds.fetch_add(1, std::memory_order_relaxed);
-        held = nc;
-        holding = true;
+      {
+        std::lock_guard<std::mutex> lock(l.mutex);
+        l.accepts.push_back(nc);
+        l.high_water = std::max(l.high_water, l.accepts.size());
       }
+      l.wake.notify();
     }
   }
-  if (holding) ::close(held.fd);
 }
 
 // --- Loop -------------------------------------------------------------------
@@ -211,7 +189,7 @@ class TuningServer::Loop {
       // the accept lane — an acceptor that pushed before the flag flipped
       // skipped its ring, so blocking now would lose the wake.
       shared_.wake.arm();
-      const bool ready = stopping() || !shared_.accepts.empty();
+      const bool ready = stopping() || lane_pending();
       const std::size_t n = loop_.wait(ready ? 0 : -1);
       shared_.wake.disarm();
       if (stopping()) break;
@@ -296,9 +274,17 @@ class TuningServer::Loop {
     return server_.stop_.load(std::memory_order_relaxed);
   }
 
+  [[nodiscard]] bool lane_pending() const {
+    std::lock_guard<std::mutex> lock(shared_.mutex);
+    return !shared_.accepts.empty();
+  }
+
   void accept_new() {
-    NewConn nc;
-    while (shared_.accepts.try_pop(nc)) {
+    {
+      std::lock_guard<std::mutex> lock(shared_.mutex);
+      taken_.swap(shared_.accepts);
+    }
+    for (const NewConn& nc : taken_) {
       try {
         set_nonblocking(nc.fd, true);
       } catch (const SocketError&) {
@@ -314,6 +300,7 @@ class TuningServer::Loop {
       }
       conns_.emplace(nc.id, std::move(conn));
     }
+    taken_.clear();
   }
 
   void on_event(const EventLoop::Event& ev) {
@@ -598,6 +585,8 @@ class TuningServer::Loop {
   std::vector<char> rbuf_ = std::vector<char>(1 << 16);
   std::string payload_;
   std::vector<std::uint64_t> dirty_;
+  /// The lane's connections, swapped out under its lock (accept_new).
+  std::vector<NewConn> taken_;
 };
 
 void TuningServer::run_loop(std::size_t t) {

@@ -11,10 +11,10 @@
 /// the server runs K + 1 threads:
 ///
 ///   * **1 acceptor** owns the listening socket and hands each accepted
-///     connection to loop `conn_id % K` over a bounded SPSC lane
-///     (util/spsc_queue.hpp), ringing the loop's doorbell. When a lane is
-///     full the acceptor holds that one connection and stops accepting —
-///     the kernel backlog is the natural backpressure.
+///     connection to loop `conn_id % K` through that loop's lane — a
+///     mutex-guarded vector the loop swaps out whole — ringing the loop's
+///     doorbell. A handoff happens once per connection, so a lock costs
+///     nothing there, and a vector never fills.
 ///   * **K loop threads** each run an epoll readiness loop
 ///     (net/event_loop.hpp) over the connections they were handed and own
 ///     one FIFO `service::TuningService` holding every session those
@@ -78,7 +78,6 @@
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
 #include "service/session_spec.hpp"
-#include "util/spsc_queue.hpp"
 
 namespace lynceus::net {
 
@@ -125,15 +124,13 @@ class TuningServer {
     bool pin_threads = false;
   };
 
-  /// Saturation counters of one acceptor→loop connection lane
+  /// Counters of one acceptor→loop connection lane
   /// (request_lane_stats()).
   struct LaneStats {
     std::size_t loop = 0;
-    std::size_t capacity = 0;
-    /// Highest occupancy any push observed (SpscQueue::high_water).
+    /// Most connections the lane ever held before its loop took them.
     std::size_t high_water = 0;
-    /// Connections that found the lane full and were held by the
-    /// acceptor until it drained.
+    /// Always 0: a lane never fills, so the acceptor never waits on one.
     std::size_t stalls = 0;
   };
 
@@ -167,7 +164,7 @@ class TuningServer {
   /// Sessions ever opened per loop (monitoring/tests; racy snapshot).
   [[nodiscard]] std::vector<std::size_t> shard_session_counts() const;
 
-  /// Saturation stats of the K acceptor→loop lanes, in loop order
+  /// Counters of the K acceptor→loop lanes, in loop order
   /// (monitoring/tests; racy snapshot).
   [[nodiscard]] std::vector<LaneStats> request_lane_stats() const;
 
@@ -184,11 +181,13 @@ class TuningServer {
 
   /// What the acceptor and monitoring share with one loop thread.
   struct LoopShared {
-    explicit LoopShared(std::size_t lane_capacity) : accepts(lane_capacity) {}
-    util::SpscQueue<NewConn> accepts;
+    /// Guards `accepts` and `high_water`.
+    mutable std::mutex mutex;
+    /// Connections accepted for this loop and not yet taken by it.
+    std::vector<NewConn> accepts;
+    std::size_t high_water = 0;
     /// Rung by the acceptor after a push, and by stop().
     WakeupFd wake;
-    std::atomic<std::size_t> holds{0};
     std::atomic<std::size_t> opened{0};
   };
 

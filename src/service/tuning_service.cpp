@@ -191,9 +191,14 @@ void TuningService::step(SessionId id, std::vector<PendingRun>& out) {
 
 void TuningService::tell(SessionId session, core::ConfigId config,
                          const core::RunResult& result) {
+  if (buffer(session, config, result)) enqueue_ready(session);
+}
+
+bool TuningService::buffer(SessionId session, core::ConfigId config,
+                           const core::RunResult& result) {
   Session& s = session_at(session);
   // A quarantined session has nothing in flight; stray tells are dropped.
-  if (s.quarantined) return;
+  if (s.quarantined) return false;
   if (s.told.size() == s.wave.size()) {
     throw std::invalid_argument(
         "TuningService::tell: session " + std::to_string(session) +
@@ -213,7 +218,7 @@ void TuningService::tell(SessionId session, core::ConfigId config,
         std::to_string(session));
   }
   s.told.emplace_back(config, result);
-  if (s.told.size() == s.wave.size()) enqueue_ready(session);
+  return s.told.size() == s.wave.size();
 }
 
 bool TuningService::idle() const noexcept {
@@ -363,21 +368,6 @@ SessionId TuningService::restore(
   }
   s.stepper = std::move(stepper);
   return admit(std::move(s));
-}
-
-void drain(TuningService& service, eval::AsyncTableRunner& runner) {
-  if (service.options().throughput_workers > 0) {
-    service.run_throughput(runner);
-    return;
-  }
-  while (true) {
-    for (const PendingRun& run : service.next_runs()) {
-      runner.submit(run.session, run.config, run.submit_options());
-    }
-    const auto completion = runner.next_completion();
-    if (!completion.has_value()) return;
-    service.tell(completion->tag, completion->config, completion->result);
-  }
 }
 
 }  // namespace lynceus::service

@@ -28,10 +28,10 @@
 ///     session, in deterministic round-robin order (see below), and
 ///     returns the profiling runs to launch.
 ///
-/// A session step is the one place the run policy lives (both schedulers
-/// call it): it applies the session's completed wave, journals, asks the
-/// stepper when nothing is outstanding, and hands out the runs the session
-/// is owed next.
+/// A session step is the one place the run policy lives (next_runs() and
+/// drain() both call it): it applies the session's completed wave,
+/// journals, asks the stepper when nothing is outstanding, and hands out
+/// the runs the session is owed next.
 ///
 /// ## Scheduling determinism
 ///
@@ -77,7 +77,7 @@
 /// applied results. The fault-injection contract (eval/runner.hpp) keys
 /// fault draws by (config, attempt), so a retried attempt gets fresh
 /// draws while replay of the whole schedule stays byte-deterministic —
-/// and so the outcome of a session is the same whichever scheduler steps
+/// and so the outcome of a session is the same whichever loop steps
 /// it and in whichever order its results are told.
 ///
 /// ## Snapshot / restore and crash safety
@@ -97,34 +97,46 @@
 /// byte-identically to the uninterrupted run (the crash-recovery drill in
 /// tests/test_faults.cpp).
 ///
-/// ## Throughput mode (opt-in, Options::throughput_workers > 0)
+/// ## Throughput mode (opt-in, Options::throughput_workers = K >= 2)
 ///
-/// The FIFO loop above advances sessions round-robin from one thread: at
-/// 64 sessions every core but one idles. run_throughput() inverts that —
-/// a pool of `throughput_workers` threads pulls session steps off a
-/// lock-free MPMC run queue (util/mpmc_queue.hpp), completions flow back
-/// through an eval::AsyncCompletionPump delivery thread, and 64+ sessions
-/// advance concurrently. It runs the very same step, so:
+/// drain() is one loop. A loop owns a set of sessions and a runner: it
+/// steps every session on its ready deque (the same step next_runs()
+/// runs) and submits the runs to its runner, then pops one completion and
+/// buffers it into its session, which re-enters the loop's deque once its
+/// wave is complete. With throughput_workers 0 or 1 one such loop runs on
+/// the caller's thread against the caller's runner — exactly the FIFO
+/// order above. With K >= 2, drain() runs K loops: the caller's thread
+/// plus K−1 threads. Loop `t` starts with the ready sessions `id % K ==
+/// t`, in ready-queue order, and with part `t` of the caller's runner
+/// (AsyncTableRunner::split by tag, so runs already outstanding go with
+/// their session); after the join the parts fold back into the caller's
+/// runner. Each of these loops pops every completion its runner can
+/// deliver before it steps again, so its sessions wait on its deque
+/// rather than in its runner. A loop that runs dry — nothing ready, no
+/// completion to pop — steals one ready session from the fullest other
+/// deque; a ready session has nothing in flight, so ownership moves with
+/// the deque entry and its next runs go to the thief's runner. A loop
+/// exits when no deque holds a ready session. So:
 ///
 ///   * **Per-session trajectories are bit-pinned** — byte-identical to
-///     the session's FIFO run, for any worker count, faults and
-///     quarantine included. A session's state is owned by whichever
-///     worker holds its queue task (at most one task per session exists).
-///   * **Cross-session interleaving is NOT pinned.** Which session's wave
-///     completes first, runner submission order, simulated finish times
-///     and total simulated duration all vary run to run. Anything derived
-///     from global ordering (e.g. AsyncTableRunner::now()) is
-///     nondeterministic in this mode.
-///   * The journal callback is invoked from worker threads — it must be
+///     the session's FIFO run, for any loop count, faults and quarantine
+///     included. A session is touched by one loop at a time: the loop
+///     whose deque or runner holds it.
+///   * **Cross-session interleaving is NOT pinned.** Which loop steps a
+///     session, runner submission order, simulated finish times and total
+///     simulated duration all vary run to run. Anything derived from
+///     global ordering (e.g. AsyncTableRunner::now()) is nondeterministic
+///     in this mode.
+///   * The journal callback is invoked from loop threads — it must be
 ///     thread-safe (per-session ordering is still serial).
 ///   * **Exclusions.** Throughput mode requires the shared RootCache off
 ///     (root_cache_capacity == 0; its LRU mutation order is not
 ///     order-insensitive) and the intra-decision pool off
 ///     (pool_workers == 0; session-level parallelism replaces it) — the
 ///     constructor enforces both. Do not call other service methods while
-///     run_throughput() is running.
+///     drain() is running.
 ///
-/// Single-threaded by design (throughput mode aside): the service is an
+/// Single-threaded by design (drain()'s loops aside): the service is an
 /// event-loop core — calls are cheap state transitions (ask() decision
 /// work happens inside next_runs()), and callers own the concurrency
 /// model around it.
@@ -195,11 +207,11 @@ class TuningService {
     /// core/lookahead.hpp). The shared cache keeps root predictions, not
     /// fitted models. Trajectories are unaffected either way.
     std::size_t root_cache_capacity = 0;
-    /// Workers of the throughput-mode scheduler (see "Throughput mode" in
-    /// the file comment): 0 = FIFO event-loop service (the default,
-    /// deterministic across sessions); > 0 enables run_throughput() with
-    /// that many session-step workers. Mutually exclusive with
-    /// pool_workers and root_cache_capacity (the constructor throws).
+    /// Drain loops (see "Throughput mode" in the file comment): 0 or 1 =
+    /// one loop on the caller's thread (the default, deterministic across
+    /// sessions); K >= 2 = K session-owning loops. Nonzero values are
+    /// mutually exclusive with pool_workers and root_cache_capacity (the
+    /// constructor throws).
     std::size_t throughput_workers = 0;
     /// Failure-handling policy applied to every session whose SessionSpec
     /// does not carry its own (default: inert).
@@ -300,17 +312,6 @@ class TuningService {
   SessionId restore(std::unique_ptr<core::OptimizerStepper> stepper,
                     const std::string& snapshot_json);
 
-  /// Drives every open session to completion against `runner` with the
-  /// worker pool described under "Throughput mode" in the file comment
-  /// (requires Options::throughput_workers > 0; throws std::logic_error
-  /// otherwise). Returns once every session is finished or quarantined —
-  /// or, mirroring drain(), once only forever-hung runs remain, leaving
-  /// those sessions unfinished with their runs counted in flight.
-  /// Every open session takes part: ready ones are stepped at once, the
-  /// others when `runner` delivers the rest of their wave. The runner must
-  /// be untouched by other threads for the duration of the call.
-  void run_throughput(eval::AsyncTableRunner& runner);
-
   [[nodiscard]] const Options& options() const noexcept { return options_; }
 
   /// The shared resources, for callers building their own steppers.
@@ -322,6 +323,11 @@ class TuningService {
   }
 
  private:
+  friend void drain(TuningService& service, eval::AsyncTableRunner& runner);
+
+  /// One drain loop's ready sessions (service/drain.cpp).
+  struct ReadyDeque;
+
   struct Session {
     std::unique_ptr<core::OptimizerStepper> stepper;
     /// Failure-handling policy for THIS session: the spec's own when
@@ -347,6 +353,13 @@ class TuningService {
   /// Registers a session, queues it and journals it.
   SessionId admit(Session s);
   void enqueue_ready(SessionId id);
+  /// tell() without the enqueue: validates and buffers one result;
+  /// returns true when it completes the session's wave.
+  bool buffer(SessionId session, core::ConfigId config,
+              const core::RunResult& result);
+  /// Drain loop `t` (file comment, "Throughput mode") over `runner`.
+  void drain_loop(std::size_t t, std::vector<ReadyDeque>& deques,
+                  eval::AsyncTableRunner& runner);
   [[nodiscard]] double effective_timeout(const Session& s) const;
   /// The run-policy step (file comment): applies the completed wave,
   /// journals, asks if nothing is outstanding and appends the runs the
@@ -363,18 +376,18 @@ class TuningService {
 };
 
 /// Drains `service` to completion against the simulated-async replay
-/// runner: launches everything next_runs() asks for (tagged with the
+/// runner: launches everything the sessions ask for (tagged with the
 /// session id, with the run policy's timeout/attempt/backoff applied),
 /// routes each completion — earliest simulated finish first, i.e. out of
-/// submission order — back to its session, and returns once the service
-/// is idle. Under fault injection this includes failed and timed-out
-/// completions; sessions the policy quarantines simply stop emitting runs
-/// and the drain still reaches idle. The event loop the CLI batch mode,
-/// the service benchmarks and the examples all share; a real deployment
-/// replaces it with its cluster transport. With
-/// Options::throughput_workers > 0 this dispatches to
-/// service.run_throughput(runner) instead, so drivers support both modes
-/// transparently.
+/// submission order — back to its session, and returns once every session
+/// is finished or quarantined, or only forever-hung runs remain. Under
+/// fault injection this includes failed and timed-out completions;
+/// sessions the policy quarantines simply stop emitting runs. The event
+/// loop the CLI batch mode, the service benchmarks and the examples all
+/// share; a real deployment replaces it with its cluster transport. With
+/// Options::throughput_workers >= 2 it runs that many loops (file comment,
+/// "Throughput mode"). If a loop throws, the others finish their sessions
+/// and drain() rethrows the first error.
 void drain(TuningService& service, eval::AsyncTableRunner& runner);
 
 }  // namespace lynceus::service

@@ -161,7 +161,8 @@ TEST(NetService, SixtyFourConcurrentRemoteSessionsMatchTheirSoloRuns) {
 }
 
 /// The default server runs one loop thread per hardware thread, and the
-/// acceptor feeds each loop through one connection lane of its own.
+/// acceptor feeds each loop through one connection lane of its own: an
+/// unbounded vector, so no lane has a capacity and none ever stalls.
 TEST(NetService, DefaultServerRunsOneShardPerHardwareThread) {
   const std::size_t hw = std::thread::hardware_concurrency();
   const std::size_t expected =
@@ -174,9 +175,18 @@ TEST(NetService, DefaultServerRunsOneShardPerHardwareThread) {
   ASSERT_EQ(stats.size(), expected);
   for (std::size_t t = 0; t < stats.size(); ++t) {
     EXPECT_EQ(stats[t].loop, t);
-    EXPECT_GT(stats[t].capacity, 0U);
     EXPECT_EQ(stats[t].high_water, 0U);
     EXPECT_EQ(stats[t].stalls, 0U);
+  }
+
+  // The first connection rides loop 0's lane; the hello round trip
+  // proves loop 0 took it.
+  TuningClient client("127.0.0.1", server.port());
+  const std::vector<TuningServer::LaneStats> after =
+      server.request_lane_stats();
+  for (std::size_t t = 0; t < after.size(); ++t) {
+    EXPECT_EQ(after[t].high_water, t == 0 ? 1U : 0U);
+    EXPECT_EQ(after[t].stalls, 0U);
   }
 }
 

@@ -340,6 +340,56 @@ TEST(AsyncTableRunner, FaultDrawsAreInterleavingIndependent) {
   EXPECT_EQ(mine->result.cost, alone->result.cost);
 }
 
+TEST(AsyncTableRunner, SplitByTagAndFoldBack) {
+  // Each part pops its tags' runs exactly as the whole runner would, with
+  // the same fault draws; fold() sums the counts, keeps the latest clock
+  // and takes back what a part never popped (a forever-hung run).
+  const auto ds = testing::tiny_dataset();
+  FaultPlan plan;
+  plan.seed = 5;
+  plan.fail_rate = 0.3;
+  plan.hang_rate = 0.2;
+  plan.straggler_rate = 0.3;
+  plan.straggler_factor = 2.0;
+  const auto fill = [&](AsyncTableRunner& r) {
+    r.set_fault_plan(plan);
+    for (space::ConfigId id = 0; id < ds.size(); ++id) r.submit(id % 5, id);
+  };
+
+  AsyncTableRunner whole(ds);
+  fill(whole);
+  std::vector<std::vector<AsyncTableRunner::Completion>> by_part(3);
+  while (auto c = whole.next_completion()) by_part[c->tag % 3].push_back(*c);
+
+  AsyncTableRunner runner(ds);
+  fill(runner);
+  std::vector<AsyncTableRunner> parts = runner.split(3);
+  EXPECT_EQ(runner.outstanding(), 0U);
+  std::size_t served = 0;
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    SCOPED_TRACE("part " + std::to_string(p));
+    std::size_t k = 0;
+    while (auto c = parts[p].next_completion()) {
+      ASSERT_LT(k, by_part[p].size());
+      EXPECT_EQ(c->ticket, by_part[p][k].ticket);
+      EXPECT_EQ(c->config, by_part[p][k].config);
+      EXPECT_EQ(c->finish_time, by_part[p][k].finish_time);
+      EXPECT_EQ(c->result.outcome, by_part[p][k].result.outcome);
+      EXPECT_EQ(c->result.cost, by_part[p][k].result.cost);
+      ++k;
+    }
+    EXPECT_EQ(k, by_part[p].size());
+    served += k;
+  }
+  ASSERT_GT(whole.outstanding(), 0U) << "the plan hung no run";
+  runner.fold(parts);
+  EXPECT_EQ(runner.runs_served(), served);
+  EXPECT_EQ(runner.runs_served(), whole.runs_served());
+  EXPECT_EQ(runner.now(), whole.now());
+  EXPECT_EQ(runner.outstanding(), whole.outstanding());
+  EXPECT_FALSE(runner.next_completion().has_value());
+}
+
 TEST(AsyncTableRunner, MetricsFunctionInvoked) {
   const auto ds = testing::tiny_dataset();
   AsyncTableRunner async(ds, [](space::ConfigId id) {

@@ -1,8 +1,9 @@
-/// Throughput-mode scheduler tests (service/throughput.cpp): the
-/// bit-pinning half of the "Throughput mode" contract — every session's
-/// trajectory byte-identical to its solo/FIFO run for any worker count,
-/// including under fault injection — plus option validation, stall
-/// handling for un-capped hangs, and journaling from worker threads.
+/// Throughput-mode drain tests (service/drain.cpp): the bit-pinning half
+/// of the "Throughput mode" contract — every session's trajectory
+/// byte-identical to its solo/FIFO run for any loop count, including
+/// under fault injection, with runs already outstanding at entry and when
+/// dry loops steal — plus option validation, stopping on un-capped hangs,
+/// and journaling from loop threads.
 /// Part of the `concurrency` ctest label (run under -fsanitize=thread in
 /// the debug-tsan CI leg).
 
@@ -85,13 +86,8 @@ TEST(ThroughputService, OptionValidationAndModeDispatch) {
     o.pool_workers = 2;
     EXPECT_THROW(TuningService{o}, std::invalid_argument);
   }
-  // run_throughput on a FIFO-mode service is a logic error, not a silent
-  // fall-through.
-  const auto ds = lynceus::testing::tiny_dataset();
-  TuningService fifo;
-  eval::AsyncTableRunner async(ds);
-  EXPECT_THROW(fifo.run_throughput(async), std::logic_error);
   // A throughput service with no sessions drains trivially.
+  const auto ds = lynceus::testing::tiny_dataset();
   TuningService empty(throughput_options(2));
   eval::AsyncTableRunner async2(ds);
   drain(empty, async2);
@@ -111,7 +107,7 @@ TEST(ThroughputService, SixtyFourSessionsMatchTheirSoloRuns) {
     spec.lookahead = seed % 2 == 0 ? 1U : 0U;
     ids.push_back(service.open_session(spec));
   }
-  drain(service, async);  // dispatches to run_throughput
+  drain(service, async);  // four loops
 
   for (std::uint64_t seed = 1; seed <= 64; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
@@ -214,7 +210,7 @@ void drain_reversed(TuningService& service, eval::AsyncTableRunner& async) {
 /// The cross-mode half of the contract under faults: same sessions, same
 /// fault plan and run policy — quarantine included — told forward by the
 /// FIFO drain, told in reverse by a batching FIFO loop, or stepped by
-/// the throughput workers: per-session results (histories, failure
+/// one or four drain loops: per-session results (histories, failure
 /// ledgers, budgets) and stop reasons must match byte-for-byte.
 TEST(ThroughputService, FaultyRunsMatchFifoModeByteForByte) {
   const auto ds = lynceus::testing::tiny_dataset();
@@ -324,9 +320,10 @@ TEST(ThroughputService, FailEverythingQuarantinesIdenticallyToFifo) {
   EXPECT_TRUE(tp.idle());
 }
 
-/// Un-capped hangs leave runs outstanding forever. The worker pool must
-/// prove the stall and return — mirroring the FIFO drain() — instead of
-/// polling forever, leaving the hung sessions unfinished and in flight.
+/// Un-capped hangs leave runs outstanding forever. Every loop must run
+/// dry and return — like the single FIFO loop — instead of waiting
+/// forever, leaving the hung sessions unfinished and in flight, with the
+/// hung runs folded back into the caller's runner.
 TEST(ThroughputService, UncappedHangsStallCleanly) {
   const auto ds = lynceus::testing::tiny_dataset();
   const auto problem = lynceus::testing::tiny_problem();
@@ -345,13 +342,15 @@ TEST(ThroughputService, UncappedHangsStallCleanly) {
   drain(service, async);  // must return despite nothing ever completing
 
   EXPECT_FALSE(service.idle());
+  EXPECT_GT(async.outstanding(), 0U);
+  EXPECT_EQ(async.runs_served(), 0U);
   for (const SessionId id : ids) {
     EXPECT_FALSE(service.finished(id));
     EXPECT_FALSE(service.quarantined(id));
   }
 }
 
-/// Journaling from worker threads: the callback sees a serial per-session
+/// Journaling from loop threads: the callback sees a serial per-session
 /// stream (thread-safe across sessions), and the final envelope restores
 /// — into either mode — to the same byte-identical result.
 TEST(ThroughputService, JournaledSessionsRestoreIntoEitherMode) {
@@ -457,6 +456,146 @@ TEST(ThroughputService, RestoresFifoEnvelopeWithQueuedRetries) {
   drain(tp, a2);
   ASSERT_TRUE(tp.finished(rid));
   expect_identical(tp.result(rid), fifo.result(id));
+}
+
+/// A --faults-style storm (trajectory_dump's plan and policy): failures,
+/// hangs and stragglers, every run capped so every hang resolves.
+eval::FaultPlan storm_plan() {
+  eval::FaultPlan plan;
+  plan.seed = 99;
+  plan.fail_rate = 0.45;
+  plan.hang_rate = 0.1;
+  plan.straggler_rate = 0.2;
+  plan.straggler_factor = 3.0;
+  return plan;
+}
+
+TuningService::Options storm_options(std::size_t workers) {
+  TuningService::Options o = throughput_options(workers);
+  o.run_policy.max_attempts = 2;
+  o.run_policy.backoff_base_seconds = 5.0;
+  o.run_policy.run_timeout_seconds = 600.0;
+  o.run_policy.quarantine_after = 3;
+  return o;
+}
+
+/// Sessions whose runs are already in the caller's runner when the drain
+/// starts — stepped by next_runs() and submitted by hand, some of them
+/// partly told — travel with their session's part of the split runner.
+/// Three loops finish them byte-identically to the FIFO drain, and the
+/// caller's runner counts the same runs served afterwards.
+TEST(ThroughputService, RunsOutstandingAtEntryFinishLikeFifo) {
+  const auto ds = lynceus::testing::tiny_dataset();
+  const auto problem = lynceus::testing::tiny_problem();
+
+  struct Outcome {
+    std::vector<OptimizerResult> results;
+    std::vector<std::string> stop_reasons;
+    std::size_t runs_served = 0;
+  };
+  const auto run_mode = [&](std::size_t workers, bool faults) {
+    TuningService service(faults ? storm_options(workers)
+                                 : throughput_options(workers));
+    eval::AsyncTableRunner async(ds);
+    if (faults) async.set_fault_plan(storm_plan());
+    std::vector<SessionId> ids;
+    for (std::uint64_t seed = 41; seed <= 49; ++seed) {
+      SessionSpec spec = session_spec("lynceus", problem, seed);
+      spec.lookahead = static_cast<unsigned>(seed % 2);
+      ids.push_back(service.open_session(spec));
+    }
+    for (const PendingRun& run : service.next_runs()) {
+      async.submit(run.session, run.config, run.submit_options());
+    }
+    for (int i = 0; i < 5; ++i) {
+      const auto c = async.next_completion();
+      EXPECT_TRUE(c.has_value());
+      if (c) service.tell(c->tag, c->config, c->result);
+    }
+    EXPECT_GT(async.outstanding(), 0U);
+    drain(service, async);
+    Outcome out;
+    for (const SessionId id : ids) {
+      EXPECT_TRUE(service.finished(id));
+      out.results.push_back(service.result(id));
+      out.stop_reasons.push_back(service.stop_reason(id));
+    }
+    EXPECT_TRUE(service.idle());
+    EXPECT_EQ(async.outstanding(), 0U);
+    out.runs_served = async.runs_served();
+    return out;
+  };
+
+  for (const bool faults : {false, true}) {
+    SCOPED_TRACE(faults ? "faults on" : "faults off");
+    const Outcome fifo = run_mode(0, faults);
+    const Outcome loops = run_mode(3, faults);
+    ASSERT_EQ(fifo.results.size(), loops.results.size());
+    for (std::size_t i = 0; i < fifo.results.size(); ++i) {
+      SCOPED_TRACE("session " + std::to_string(i));
+      expect_identical(fifo.results[i], loops.results[i]);
+      EXPECT_EQ(fifo.stop_reasons[i], loops.stop_reasons[i]);
+    }
+    EXPECT_EQ(fifo.runs_served, loops.runs_served);
+  }
+}
+
+/// A skewed split: four loops, five sessions. Loop 0 owns both LA1
+/// Lynceus sessions (ids 0 and 4); loops 1–3 own one short random search
+/// each and run dry early, so they go looking for ready sessions on loop
+/// 0's deque — whether a steal lands depends on timing.
+/// Every session still lands on its solo run, with the storm on and off,
+/// and the folded runner counts every run the solo runs served.
+TEST(ThroughputService, DryLoopsStealAndSessionsMatchTheirSoloRuns) {
+  const auto ds = lynceus::testing::tiny_dataset();
+  const auto problem = lynceus::testing::tiny_problem();
+  const auto spec_of = [&](std::size_t i) {
+    const bool heavy = i % 4 == 0;
+    SessionSpec spec =
+        session_spec(heavy ? "lynceus" : "random", problem, 60 + i);
+    if (heavy) spec.lookahead = 1;
+    return spec;
+  };
+
+  for (const bool faults : {false, true}) {
+    SCOPED_TRACE(faults ? "faults on" : "faults off");
+    const auto options = [&](std::size_t workers) {
+      return faults ? storm_options(workers) : throughput_options(workers);
+    };
+    std::vector<OptimizerResult> solo;
+    std::vector<std::string> solo_stop;
+    std::size_t solo_runs = 0;
+    for (std::size_t i = 0; i < 5; ++i) {
+      TuningService service(options(0));
+      eval::AsyncTableRunner async(ds);
+      if (faults) async.set_fault_plan(storm_plan());
+      const SessionId id = service.open_session(spec_of(i));
+      drain(service, async);
+      solo.push_back(service.result(id));
+      solo_stop.push_back(service.stop_reason(id));
+      solo_runs += async.runs_served();
+    }
+
+    for (int rep = 0; rep < 3; ++rep) {
+      SCOPED_TRACE("rep " + std::to_string(rep));
+      TuningService service(options(4));
+      eval::AsyncTableRunner async(ds);
+      if (faults) async.set_fault_plan(storm_plan());
+      std::vector<SessionId> ids;
+      for (std::size_t i = 0; i < 5; ++i) {
+        ids.push_back(service.open_session(spec_of(i)));
+      }
+      drain(service, async);
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        SCOPED_TRACE("session " + std::to_string(i));
+        EXPECT_TRUE(service.finished(ids[i]));
+        expect_identical(service.result(ids[i]), solo[i]);
+        EXPECT_EQ(service.stop_reason(ids[i]), solo_stop[i]);
+      }
+      EXPECT_TRUE(service.idle());
+      EXPECT_EQ(async.runs_served(), solo_runs);
+    }
+  }
 }
 
 }  // namespace

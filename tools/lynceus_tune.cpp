@@ -63,14 +63,15 @@ Flags:
               shared root cache only pays off for identical recurrent
               sessions — distinct seeds never share root states — so this
               mode runs without one.
-  --throughput-workers N  with --sessions: drain the sessions through the
-              worker-pool throughput scheduler (N workers pulling whole
-              session steps off a shared run queue) instead of the
-              single-threaded FIFO loop. Every session's trajectory is
+  --throughput-workers N  with --sessions: drain the sessions with N
+              session-owning loops (N threads, each stepping its own
+              sessions against its own share of the runner; a loop that
+              runs dry steals a ready session) instead of one loop and
+              the shared decision pool. Every session's trajectory is
               byte-identical either way — the scheduling contract in
               service/tuning_service.hpp — only wall-clock changes.
               Mutually exclusive with the shared decision pool, so this
-              mode runs without one. Default 0 = FIFO loop.
+              mode runs without one. Default 0 = one loop.
   --snapshot PATH    serialize the session to PATH and exit once
               --snapshot-after tell()s have been applied
   --snapshot-after K runs applied before snapshotting (default: after
@@ -351,8 +352,8 @@ int run_sessions(const cloud::Dataset& dataset,
                  std::size_t sessions, std::size_t throughput_workers) {
   service::TuningService::Options sopts;
   if (throughput_workers > 0) {
-    // Throughput mode owns the parallelism (whole session steps across
-    // workers); the shared decision pool is mutually exclusive with it.
+    // Throughput mode owns the parallelism (sessions spread over drain
+    // loops); the shared decision pool is mutually exclusive with it.
     sopts.throughput_workers = throughput_workers;
   } else {
     sopts.pool_workers = util::default_worker_count();
@@ -377,7 +378,7 @@ int run_sessions(const cloud::Dataset& dataset,
   service::drain(svc, async);
 
   if (throughput_workers > 0) {
-    std::printf("\n%zu sessions finished (throughput mode: %zu workers)\n",
+    std::printf("\n%zu sessions finished (throughput mode: %zu loops)\n",
                 sessions, throughput_workers);
   } else {
     std::printf("\n%zu sessions finished (shared pool: %zu workers)\n",
@@ -423,13 +424,12 @@ int run_serve(std::uint16_t port, std::size_t shards,
   while ((c = std::fgetc(stdin)) != EOF) {
   }
   server.stop();
-  // Accept-lane report: a stall means the acceptor held a new
-  // connection because its loop had not picked up earlier ones yet — a
-  // connect burst outpacing a busy loop.
+  // Accept-lane report: a high water above 1 means a connect burst
+  // outpaced a busy loop picking up its new connections.
   for (const net::TuningServer::LaneStats& ls : server.request_lane_stats()) {
-    if (ls.high_water == 0 && ls.stalls == 0) continue;
-    std::printf("accept lane -> loop %zu: high water %zu/%zu, %zu held\n",
-                ls.loop, ls.high_water, ls.capacity, ls.stalls);
+    if (ls.high_water == 0) continue;
+    std::printf("accept lane -> loop %zu: high water %zu\n", ls.loop,
+                ls.high_water);
   }
   return 0;
 }

@@ -40,9 +40,8 @@
 /// dump per build and across toolchains. The header omits this flag too.
 ///
 /// `--throughput-workers=N` (N >= 1) runs every case as a concurrent
-/// TuningService session drained through the worker-pool throughput
-/// scheduler against the asynchronous replay runner, instead of the
-/// classic closed loop. The per-session determinism contract
+/// TuningService session drained by N session-owning loops against the
+/// asynchronous replay runner, instead of the classic closed loop. The per-session determinism contract
 /// (service/tuning_service.hpp) pins each session's trajectory
 /// byte-identical to its solo run, so this dump — including its `--faults`
 /// variant — must NOT change the output: CI diffs the throughput dump
@@ -189,8 +188,8 @@ void print_fault_cases(std::ostringstream& out, const std::string& label,
 }
 
 /// The --throughput-workers path: the same five golden cases, opened as
-/// concurrent TuningService sessions and drained through the worker-pool
-/// throughput scheduler. Sessions are grouped per dataset (one service +
+/// concurrent TuningService sessions and drained by the throughput-mode
+/// drain loops. Sessions are grouped per dataset (one service +
 /// one asynchronous replay runner each); the scout service carries the
 /// three single-constraint lookaheads *and* the multi-constraint case in
 /// one drain — the runner exposes the energy metrics to every session,
