@@ -26,7 +26,7 @@
 #include "cloud/workloads.hpp"
 #include "core/acquisition.hpp"
 #include "core/constraints.hpp"
-#include "core/constraints_reference.hpp"
+#include "constraints_reference.hpp"
 #include "core/lookahead.hpp"
 #include "core/lynceus.hpp"
 #include "core/bo.hpp"
@@ -514,6 +514,73 @@ double percentile(const std::vector<double>& sorted, double p) {
   return sorted[std::min(i, sorted.size() - 1)];
 }
 
+/// One fantasy branch's ensemble refit — the unit the lookahead repeats
+/// about 67 times per Scout LA1 decision: the engine's 10-tree ensemble
+/// fitted on `history` distinct observed configurations plus one fantasy
+/// row. Reports the fit p50 over many training sets and seeds, and how
+/// the trees' split search closed their nodes (closed forms vs the
+/// histogram scan, per tree; see model/decision_tree.hpp).
+struct BranchRefitStats {
+  std::size_t fits = 0;
+  double fit_p50_us = 0.0;
+  double closed_one_per_tree = 0.0;
+  double closed_two_per_tree = 0.0;
+  double scanned_per_tree = 0.0;
+};
+
+BranchRefitStats measure_branch_refit(int space_idx, std::size_t history,
+                                      std::size_t sets,
+                                      std::size_t fits_per_set) {
+  const auto ds = decision_dataset(space_idx);
+  const model::FeatureMatrix fm(ds.space());
+  model::BaggingOptions opts;  // core::default_tree_model_factory's model
+  opts.tree.features_per_split =
+      model::BaggingOptions::weka_features_per_split(fm.cols());
+  model::BaggingEnsemble ens(opts);
+  util::Rng rng(11);
+  std::vector<double> us;
+  us.reserve(sets * fits_per_set);
+  std::uint64_t closed_one = 0;
+  std::uint64_t closed_two = 0;
+  std::uint64_t scanned = 0;
+  std::vector<std::uint32_t> rows;
+  std::vector<double> y;
+  for (std::size_t set = 0; set < sets; ++set) {
+    rows.clear();
+    y.clear();
+    while (rows.size() < history + 1) {
+      const auto id = static_cast<std::uint32_t>(rng.below(fm.rows()));
+      if (std::find(rows.begin(), rows.end(), id) != rows.end()) continue;
+      rows.push_back(id);
+      // The fantasy row's target is a Gauss-Hermite node's draw, not an
+      // observation: perturb it off the measured cost.
+      y.push_back(ds.cost(id) * (rows.size() > history ? 1.3 : 1.0));
+    }
+    for (std::size_t f = 0; f < fits_per_set; ++f) {
+      const std::uint64_t seed = rng();
+      const auto t0 = std::chrono::steady_clock::now();
+      ens.fit(fm, rows, y, seed);
+      const auto t1 = std::chrono::steady_clock::now();
+      us.push_back(std::chrono::duration<double, std::micro>(t1 - t0).count());
+      for (const model::DecisionTree& tree : ens.trees()) {
+        closed_one += tree.split_tally().closed_one;
+        closed_two += tree.split_tally().closed_two;
+        scanned += tree.split_tally().scanned;
+      }
+    }
+  }
+  std::sort(us.begin(), us.end());
+  const auto trees =
+      static_cast<double>(us.size() * ens.trees().size());
+  BranchRefitStats out;
+  out.fits = us.size();
+  out.fit_p50_us = percentile(us, 0.50);
+  out.closed_one_per_tree = static_cast<double>(closed_one) / trees;
+  out.closed_two_per_tree = static_cast<double>(closed_two) / trees;
+  out.scanned_per_tree = static_cast<double>(scanned) / trees;
+  return out;
+}
+
 /// Multi-constraint decision percentiles for one implementation.
 struct McStats {
   double p50_ms = 0.0;
@@ -775,6 +842,30 @@ SessionThroughputStats measure_session_throughput(std::size_t sessions,
   return out;
 }
 
+/// Spin probe of the cores the host grants this process right now:
+/// `threads` threads each spin the same fixed work, and the grant is
+/// threads × (one thread's time) / (all threads' wall time) — `threads`
+/// on an idle host, about 1 when the process gets one core's worth of
+/// CPU. Session scaling reports it next to its speedups, so a sub-bar
+/// curve measured on a crowded shared host reads as such.
+double spin_probe_cores(std::size_t threads) {
+  const auto spin = [] {
+    std::uint64_t x = 0x9E3779B97F4A7C15ULL;
+    for (int i = 0; i < 4000000; ++i) x = x * 6364136223846793005ULL + 1;
+    benchmark::DoNotOptimize(x);
+  };
+  const auto t0 = std::chrono::steady_clock::now();
+  spin();
+  const auto t1 = std::chrono::steady_clock::now();
+  std::vector<std::thread> pool;
+  for (std::size_t i = 0; i < threads; ++i) pool.emplace_back(spin);
+  for (std::thread& th : pool) th.join();
+  const auto t2 = std::chrono::steady_clock::now();
+  const double one = std::chrono::duration<double>(t1 - t0).count();
+  const double all = std::chrono::duration<double>(t2 - t1).count();
+  return all > 0.0 ? static_cast<double>(threads) * one / all : 0.0;
+}
+
 /// Inter-session scaling: N concurrent Lynceus sessions with *distinct*
 /// seeds — independent jobs, the fleet scenario — drained by one loop on
 /// the calling thread (workers 0 and 1 run the very same loop; w0 is the
@@ -784,9 +875,21 @@ SessionThroughputStats measure_session_throughput(std::size_t sessions,
 /// comparison is pure scheduling). Per-session trajectories are
 /// byte-identical across all modes by the throughput contract, so
 /// decisions/s compares the same work.
-SessionThroughputStats measure_session_scaling(std::size_t sessions,
-                                               std::size_t workers,
-                                               std::size_t reps) {
+///
+/// The worker counts are interleaved: every repetition drains once per
+/// count in turn, so the baseline and the pool see the same host, and a
+/// spin probe at the largest count follows each repetition. Returns one
+/// entry per worker count (in `worker_counts` order) plus the probe's
+/// median.
+struct SessionScalingStats {
+  std::vector<SessionThroughputStats> per_count;
+  double cores_granted = 0.0;
+  std::size_t probe_threads = 0;
+};
+
+SessionScalingStats measure_session_scaling(
+    std::size_t sessions, const std::vector<std::size_t>& worker_counts,
+    std::size_t reps) {
   const auto ds = decision_dataset(1);  // Scout: realistic small job
   const auto problem = eval::make_problem(ds, 3.0);
   service::SessionSpec spec;
@@ -794,34 +897,46 @@ SessionThroughputStats measure_session_scaling(std::size_t sessions,
   spec.lookahead = 1;
   spec.screen_width = 24;
 
-  std::vector<double> ms_per_decision;
-  std::size_t decisions = 0;
+  SessionScalingStats out;
+  out.per_count.resize(worker_counts.size());
+  out.probe_threads =
+      std::max<std::size_t>(1, *std::max_element(worker_counts.begin(),
+                                                 worker_counts.end()));
+  std::vector<std::vector<double>> ms_per_decision(worker_counts.size());
+  std::vector<double> granted;
   for (std::size_t rep = 0; rep <= reps; ++rep) {  // rep 0 = warm-up
-    service::TuningService::Options sopts;
-    sopts.throughput_workers = workers;
-    service::TuningService svc(sopts);
-    std::vector<service::SessionId> ids;
-    for (std::size_t s = 0; s < sessions; ++s) {
-      spec.seed = s + 1;
-      ids.push_back(svc.open_session(spec));
+    for (std::size_t k = 0; k < worker_counts.size(); ++k) {
+      service::TuningService::Options sopts;
+      sopts.throughput_workers = worker_counts[k];
+      service::TuningService svc(sopts);
+      std::vector<service::SessionId> ids;
+      for (std::size_t s = 0; s < sessions; ++s) {
+        spec.seed = s + 1;
+        ids.push_back(svc.open_session(spec));
+      }
+      eval::AsyncTableRunner async(ds);
+      const auto t0 = std::chrono::steady_clock::now();
+      service::drain(svc, async);
+      const auto t1 = std::chrono::steady_clock::now();
+      std::size_t decisions = 0;
+      for (const auto id : ids) decisions += svc.result(id).decisions;
+      out.per_count[k].decisions = decisions;
+      if (rep == 0) continue;
+      const double ms =
+          std::chrono::duration<double, std::milli>(t1 - t0).count();
+      ms_per_decision[k].push_back(ms / static_cast<double>(decisions));
     }
-    eval::AsyncTableRunner async(ds);
-    const auto t0 = std::chrono::steady_clock::now();
-    service::drain(svc, async);
-    const auto t1 = std::chrono::steady_clock::now();
-    decisions = 0;
-    for (const auto id : ids) decisions += svc.result(id).decisions;
-    if (rep == 0) continue;
-    const double ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
-    ms_per_decision.push_back(ms / static_cast<double>(decisions));
+    if (rep > 0) granted.push_back(spin_probe_cores(out.probe_threads));
   }
-  std::sort(ms_per_decision.begin(), ms_per_decision.end());
-  SessionThroughputStats out;
-  out.decisions = decisions;
-  out.ms_per_decision = percentile(ms_per_decision, 0.50);
-  out.decisions_per_sec =
-      out.ms_per_decision > 0.0 ? 1000.0 / out.ms_per_decision : 0.0;
+  for (std::size_t k = 0; k < worker_counts.size(); ++k) {
+    std::sort(ms_per_decision[k].begin(), ms_per_decision[k].end());
+    SessionThroughputStats& s = out.per_count[k];
+    s.ms_per_decision = percentile(ms_per_decision[k], 0.50);
+    s.decisions_per_sec =
+        s.ms_per_decision > 0.0 ? 1000.0 / s.ms_per_decision : 0.0;
+  }
+  std::sort(granted.begin(), granted.end());
+  out.cores_granted = percentile(granted, 0.50);
   return out;
 }
 
@@ -1075,6 +1190,31 @@ bool write_json_summary(const std::string& path,
   w.end_array();
   }
 
+  // Branch refit: one fantasy branch's 10-tree ensemble fit at Scout
+  // histories 8/14/20 and on TF-CNN, with the per-tree node counts of
+  // each split-search kind (see measure_branch_refit).
+  if (want("branch_refit")) {
+  w.key("branch_refit").begin_array();
+  struct RefitCase {
+    int space_idx;
+    std::size_t history;
+  };
+  for (const RefitCase c : {RefitCase{1, 8}, RefitCase{1, 14},
+                            RefitCase{1, 20}, RefitCase{0, 14}}) {
+    const auto s = measure_branch_refit(c.space_idx, c.history, 200, 10);
+    w.begin_object();
+    w.key("space").value(decision_space_name(c.space_idx));
+    w.key("history").value(static_cast<std::uint64_t>(c.history));
+    w.key("fits").value(static_cast<std::uint64_t>(s.fits));
+    w.key("fit_p50_us").value(s.fit_p50_us);
+    w.key("closed_one_per_tree").value(s.closed_one_per_tree);
+    w.key("closed_two_per_tree").value(s.closed_two_per_tree);
+    w.key("scanned_per_tree").value(s.scanned_per_tree);
+    w.end_object();
+  }
+  w.end_array();
+  }
+
   // Multi-constraint decisions: the naive copy-based reference vs the
   // delta-state engine, identical decision replayed by both.
   if (want("multi_constraint")) {
@@ -1251,10 +1391,12 @@ bool write_json_summary(const std::string& path,
 
   // Inter-session scaling: decisions/s at 8/64 concurrent sessions,
   // FIFO loop (workers == 0) vs throughput mode at workers in
-  // {1, nproc-1} (deduplicated; see measure_session_scaling).
-  // speedup_vs_w0 compares the same session count's FIFO entry.
-  // tools/scaling_gate.py hard-gates the 64-session curve on multi-core
-  // CI; tools/compare_bench.py skips the workers == 0 entries.
+  // {1, nproc-1} (deduplicated; see measure_session_scaling), measured
+  // interleaved. speedup_vs_w0 compares the same session count's FIFO
+  // entry, and cores_granted is the spin probe's reading of the host
+  // over those repetitions. tools/scaling_gate.py hard-gates the
+  // 64-session curve on multi-core CI; tools/compare_bench.py skips the
+  // workers == 0 entries.
   if (want("session_scaling")) {
   w.key("session_scaling").begin_array();
   {
@@ -1265,11 +1407,12 @@ bool write_json_summary(const std::string& path,
         std::unique(worker_counts.begin(), worker_counts.end()),
         worker_counts.end());
     for (const std::size_t sessions : {std::size_t{8}, std::size_t{64}}) {
-      double w0_dps = 0.0;
-      for (const std::size_t workers : worker_counts) {
-        const std::size_t reps = sessions >= 64 ? 2 : 3;
-        const auto s = measure_session_scaling(sessions, workers, reps);
-        if (workers == 0) w0_dps = s.decisions_per_sec;
+      const auto scaling = measure_session_scaling(
+          sessions, worker_counts, sessions >= 64 ? 2 : 3);
+      const double w0_dps = scaling.per_count.front().decisions_per_sec;
+      for (std::size_t k = 0; k < worker_counts.size(); ++k) {
+        const std::size_t workers = worker_counts[k];
+        const SessionThroughputStats& s = scaling.per_count[k];
         w.begin_object();
         w.key("space").value(decision_space_name(1));
         w.key("optimizer").value("lynceus_la1");
@@ -1282,6 +1425,9 @@ bool write_json_summary(const std::string& path,
             workers > 0 && w0_dps > 0.0 && s.decisions_per_sec > 0.0
                 ? s.decisions_per_sec / w0_dps
                 : 0.0);
+        w.key("cores_granted").value(scaling.cores_granted);
+        w.key("probe_threads").value(
+            static_cast<std::uint64_t>(scaling.probe_threads));
         w.end_object();
       }
     }
@@ -1409,7 +1555,7 @@ bool write_json_summary(const std::string& path,
 int main(int argc, char** argv) {
   std::string json_path = "BENCH_micro.json";
   // --sections=a,b,c restricts the JSON summary to the named sections
-  // (spaces, multi_constraint, incremental_refit, soa_predict,
+  // (spaces, branch_refit, multi_constraint, incremental_refit, soa_predict,
   // cached_decision, pooled_decision, session_throughput, session_scaling,
   // net_throughput, decision_scaling); empty / absent = all.
   std::set<std::string> sections;

@@ -58,9 +58,9 @@
 /// With `Options::incremental_refit` **off (the default)** every simulated
 /// branch refits its ensemble from scratch, and trajectories are pinned
 /// **bit-for-bit** against the committed naive references
-/// (reference::NaiveLynceus in core/lookahead_reference.hpp,
+/// (reference::NaiveLynceus in tests/lookahead_reference.hpp,
 /// reference::NaiveMultiConstraintLynceus / McSimulator in
-/// core/constraints_reference.hpp) — the golden-trajectory tests enforce
+/// tests/constraints_reference.hpp) — the golden-trajectory tests enforce
 /// this for LA 0/1/2, one and two constraints, cache on or off. Nothing
 /// about the default path changes when the flag exists but is off.
 ///
@@ -514,7 +514,7 @@ class LookaheadEngine {
 /// regression target per auxiliary constraint.
 ///
 /// Differences from the single-constraint engine, all pinned bit-for-bit
-/// against reference::McSimulator (core/constraints_reference.hpp) by the
+/// against reference::McSimulator (tests/constraints_reference.hpp) by the
 /// golden-trajectory tests:
 ///  * each node fits I+1 models (cost + per-constraint metrics) on the
 ///    same rows with per-objective derived seeds;

@@ -124,6 +124,9 @@ class BaggingEnsemble final : public Regressor {
     return options_;
   }
   [[nodiscard]] bool fitted() const noexcept { return fitted_; }
+  [[nodiscard]] const std::vector<DecisionTree>& trees() const noexcept {
+    return trees_;
+  }
 
  private:
   [[nodiscard]] Prediction finalize(double sum, double sumsq,

@@ -22,6 +22,18 @@ DecisionTree::DecisionTree(TreeOptions options) : options_(options) {}
 /// scan's stack arrays; wider spaces just take several passes).
 static constexpr std::size_t kMaxFeatures = 64;
 
+/// Routing word of a leaf: feature 0, threshold 0xFFFF. Every code is
+/// <= 0xFFFF, so a row parked on a leaf stays there (file comment).
+static constexpr std::uint32_t kLeafFs = 0xFFFF;
+
+/// Variance-reduction score of a split, s_L^2/n_L + s_R^2/n_R. The
+/// histogram scan and the closed forms share this one expression, so a
+/// closed-form score equals the scan's bit for bit.
+static inline double split_score(double s_left, double n_left, double s_right,
+                                 double n_right) {
+  return s_left * s_left / n_left + s_right * s_right / n_right;
+}
+
 /// Thin view over the fm/rng and the tree-owned FitScratch buffers (the
 /// vectors live in `scratch_` so refits reuse their capacity).
 struct DecisionTree::BuildCtx {
@@ -37,9 +49,16 @@ struct DecisionTree::BuildCtx {
   // Feature-subset scratch.
   std::vector<std::uint16_t>& feature_order;
 
-  explicit BuildCtx(FitScratch& s)
-      : idx(s.idx), y(s.y), cnt(s.cnt), sum(s.sum),
-        feature_order(s.feature_order) {}
+  BuildCtx(FitScratch& s, const FeatureMatrix& fm_in, util::Rng& rng_in)
+      : fm(&fm_in), rng(&rng_in), idx(s.idx), y(s.y), cnt(s.cnt),
+        sum(s.sum), feature_order(s.feature_order) {
+    cnt.assign(fm_in.cols() * fm_in.max_level_count(), 0);
+    sum.assign(fm_in.cols() * fm_in.max_level_count(), 0.0);
+    feature_order.resize(fm_in.cols());
+    for (std::size_t d = 0; d < fm_in.cols(); ++d) {
+      feature_order[d] = static_cast<std::uint16_t>(d);
+    }
+  }
 };
 
 void DecisionTree::fit(const FeatureMatrix& fm,
@@ -49,27 +68,22 @@ void DecisionTree::fit(const FeatureMatrix& fm,
     throw std::invalid_argument(
         "DecisionTree::fit: rows and y must be non-empty and equal-sized");
   }
-  nodes_.clear();
+  node_fs_.clear();
+  node_lr_.clear();
+  node_value_.clear();
+  node_variance_.clear();
   node_depth_.clear();
   depth_ = 0;
-  nodes_.reserve(2 * rows.size());
+  tally_ = {};
+  reserve_nodes(2 * rows.size());
   if (inc_enabled_) {
     inc_base_ = rows.size();
     reserve_incremental(inc_base_);
   }
 
-  BuildCtx ctx(scratch_);
-  ctx.fm = &fm;
-  ctx.rng = &rng;
+  BuildCtx ctx(scratch_, fm, rng);
   ctx.idx.assign(rows.begin(), rows.end());
   ctx.y.assign(y.begin(), y.end());
-  ctx.cnt.assign(fm.cols() * fm.max_level_count(), 0);
-  ctx.sum.assign(fm.cols() * fm.max_level_count(), 0.0);
-  ctx.feature_order.resize(fm.cols());
-  for (std::size_t d = 0; d < fm.cols(); ++d) {
-    ctx.feature_order[d] = static_cast<std::uint16_t>(d);
-  }
-
   build(ctx, 0, ctx.idx.size(), 0);
 
   if (inc_enabled_) {
@@ -83,61 +97,25 @@ void DecisionTree::fit(const FeatureMatrix& fm,
       leaf_of_[i] = find_leaf(fm, rows[i]);
     }
   }
-  rebuild_flat();
 }
 
-void DecisionTree::rebuild_flat() {
-  const std::size_t n = nodes_.size();
-  // Track the AoS capacity, not just the current size: nodes_ carries
-  // geometric-growth slack across fits and assign_fitted, so a slightly
-  // bigger tree landing in a warmed model grows nodes_ for free — the
-  // flat mirror must not reallocate in that case either (steady state is
-  // asserted allocation-free).
-  const std::size_t cap = nodes_.capacity();
-  flat_feature_.reserve(cap);
-  flat_split_.reserve(cap);
-  flat_left_.reserve(cap);
-  flat_right_.reserve(cap);
-  flat_value_.reserve(cap);
-  flat_variance_.reserve(cap);
-  flat_fs_.reserve(cap);
-  flat_lr_.reserve(cap);
-  flat_feature_.resize(n);
-  flat_split_.resize(n);
-  flat_left_.resize(n);
-  flat_right_.resize(n);
-  flat_value_.resize(n);
-  flat_variance_.resize(n);
-  flat_fs_.resize(n);
-  flat_lr_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) refresh_flat_node(i);
+void DecisionTree::reserve_nodes(std::size_t n) {
+  node_fs_.reserve(n);
+  node_lr_.reserve(n);
+  node_value_.reserve(n);
+  node_variance_.reserve(n);
 }
 
-void DecisionTree::refresh_flat_node(std::size_t i) {
-  const Node& nd = nodes_[i];
-  if (nd.feature == kLeaf) {
-    // Leaf self-loop: every code is <= 0xFFFF, so the level-sync route
-    // keeps the row parked on this node for the remaining passes.
-    flat_feature_[i] = 0;
-    flat_split_[i] = 0xFFFF;
-    flat_left_[i] = static_cast<std::int32_t>(i);
-    flat_right_[i] = static_cast<std::int32_t>(i);
-  } else {
-    flat_feature_[i] = nd.feature;
-    flat_split_[i] = nd.split_code;
-    flat_left_[i] = nd.left;
-    flat_right_[i] = nd.right;
-  }
-  flat_value_[i] = nd.value;
-  flat_variance_[i] = nd.variance;
-  flat_fs_[i] =
-      (static_cast<std::uint32_t>(flat_feature_[i]) << 16) |
-      static_cast<std::uint32_t>(flat_split_[i]);
-  flat_lr_[i] =
-      static_cast<std::uint32_t>(flat_left_[i]) |
-      (static_cast<std::uint64_t>(
-           static_cast<std::uint32_t>(flat_right_[i]))
-       << 32);
+std::int32_t DecisionTree::push_node(std::uint32_t fs, float value,
+                                     float variance, unsigned depth) {
+  const auto self = static_cast<std::uint32_t>(node_lr_.size());
+  node_fs_.push_back(fs);
+  // Self-loop; a split node's children are patched in once built.
+  node_lr_.push_back(self | (std::uint64_t{self} << 32));
+  node_value_.push_back(value);
+  node_variance_.push_back(variance);
+  if (inc_enabled_) node_depth_.push_back(depth);
+  return static_cast<std::int32_t>(self);
 }
 
 void DecisionTree::set_incremental(bool on, std::size_t reserve_extra) {
@@ -156,16 +134,8 @@ void DecisionTree::reserve_incremental(std::size_t base_samples) {
   // Base fit builds <= 2n-1 nodes; every append may rebuild one leaf's
   // subtree over <= n members (<= 2n-1 fresh nodes, one orphaned slot).
   const std::size_t node_bound = 2 * n * (inc_reserve_ + 1) + inc_reserve_ + 2;
-  nodes_.reserve(node_bound);
+  reserve_nodes(node_bound);
   node_depth_.reserve(node_bound);
-  // The flat mirror is refreshed after every append; reserving it by the
-  // same bound keeps the refresh allocation-free.
-  flat_feature_.reserve(node_bound);
-  flat_split_.reserve(node_bound);
-  flat_left_.reserve(node_bound);
-  flat_right_.reserve(node_bound);
-  flat_value_.reserve(node_bound);
-  flat_variance_.reserve(node_bound);
   inc_rows_.reserve(n);
   inc_y_.reserve(n);
   leaf_of_.reserve(n);
@@ -177,14 +147,16 @@ void DecisionTree::reserve_incremental(std::size_t base_samples) {
 
 std::int32_t DecisionTree::find_leaf(const FeatureMatrix& fm,
                                      std::uint32_t row) const noexcept {
-  std::int32_t node = 0;
-  while (nodes_[static_cast<std::size_t>(node)].feature != kLeaf) {
-    const Node& nd = nodes_[static_cast<std::size_t>(node)];
-    node = fm.code(row, static_cast<std::size_t>(nd.feature)) <= nd.split_code
-               ? nd.left
-               : nd.right;
+  std::uint32_t node = 0;
+  for (;;) {
+    const std::uint64_t lr = node_lr_[node];
+    const auto left = static_cast<std::uint32_t>(lr);
+    if (left == node) return static_cast<std::int32_t>(node);
+    const std::uint32_t fs = node_fs_[node];
+    node = fm.code(row, fs >> 16) <= (fs & 0xFFFF)
+               ? left
+               : static_cast<std::uint32_t>(lr >> 32);
   }
-  return node;
 }
 
 void DecisionTree::append_incremental(const FeatureMatrix& fm,
@@ -195,6 +167,7 @@ void DecisionTree::append_incremental(const FeatureMatrix& fm,
         "DecisionTree::append_incremental: no captured membership");
   }
   const std::int32_t leaf = find_leaf(fm, row);
+  const auto li = static_cast<std::size_t>(leaf);
   inc_rows_.push_back(row);
   inc_y_.push_back(y);
   leaf_of_.push_back(leaf);
@@ -209,54 +182,37 @@ void DecisionTree::append_incremental(const FeatureMatrix& fm,
     }
   }
   const std::size_t m = gather_rows_.size();
-  const unsigned at_depth = node_depth_[static_cast<std::size_t>(leaf)];
+  const unsigned at_depth = node_depth_[li];
 
   if (m >= options_.min_samples_split && at_depth < options_.max_depth) {
     // Re-split: rebuild the leaf's subtree from scratch over its members,
     // with the identical split search and feature subsetting as fit().
-    // build() appends the fresh subtree at the end of `nodes_`; its root is
-    // grafted over the old leaf slot (child indices keep pointing into the
-    // appended region). A rebuild that finds no informative split produces
-    // a single leaf, which is copied over and popped again.
-    const std::size_t n_before = nodes_.size();
-    BuildCtx ctx(scratch_);
-    ctx.fm = &fm;
-    ctx.rng = &rng;
+    // build() appends the fresh subtree at the end of the node arrays; its
+    // root is grafted over the old leaf slot (child indices keep pointing
+    // into the appended region, and the root's own slot stays behind as an
+    // orphan). A rebuild that finds no informative split produces a single
+    // leaf, whose statistics are copied over before it is popped again.
+    BuildCtx ctx(scratch_, fm, rng);
     ctx.idx.assign(gather_rows_.begin(), gather_rows_.end());
     ctx.y.assign(gather_y_.begin(), gather_y_.end());
-    ctx.cnt.assign(fm.cols() * fm.max_level_count(), 0);
-    ctx.sum.assign(fm.cols() * fm.max_level_count(), 0.0);
-    ctx.feature_order.resize(fm.cols());
-    for (std::size_t d = 0; d < fm.cols(); ++d) {
-      ctx.feature_order[d] = static_cast<std::uint16_t>(d);
-    }
-    const std::int32_t sub = build(ctx, 0, ctx.idx.size(), at_depth);
-    nodes_[static_cast<std::size_t>(leaf)] = nodes_[static_cast<std::size_t>(sub)];
-    if (nodes_[static_cast<std::size_t>(leaf)].feature == kLeaf) {
-      nodes_.pop_back();  // degenerate rebuild: drop the orphan leaf slot
+    const auto sub =
+        static_cast<std::size_t>(build(ctx, 0, ctx.idx.size(), at_depth));
+    node_value_[li] = node_value_[sub];
+    node_variance_[li] = node_variance_[sub];
+    if (is_leaf(sub)) {
+      node_fs_.pop_back();  // degenerate rebuild: drop the orphan leaf slot
+      node_lr_.pop_back();
+      node_value_.pop_back();
+      node_variance_.pop_back();
       node_depth_.pop_back();
     } else {
+      node_fs_[li] = node_fs_[sub];
+      node_lr_[li] = node_lr_[sub];
       // The subtree's members moved to fresh leaves below `leaf`.
       for (std::size_t i = 0; i < inc_rows_.size(); ++i) {
         if (leaf_of_[i] == leaf) leaf_of_[i] = find_leaf(fm, inc_rows_[i]);
       }
     }
-    // Patch the mirror instead of rebuilding it: only the grafted slot and
-    // the appended subtree changed; every other node's routing words are
-    // untouched. Re-splits recur throughout a multi-constraint lookahead
-    // (every model clone appends fantasy samples), so an O(nodes) rebuild
-    // here compounds into a measurable decision-time regression.
-    const std::size_t flat_n = nodes_.size();
-    flat_feature_.resize(flat_n);
-    flat_split_.resize(flat_n);
-    flat_left_.resize(flat_n);
-    flat_right_.resize(flat_n);
-    flat_value_.resize(flat_n);
-    flat_variance_.resize(flat_n);
-    flat_fs_.resize(flat_n);
-    flat_lr_.resize(flat_n);
-    refresh_flat_node(static_cast<std::size_t>(leaf));
-    for (std::size_t i = n_before; i < flat_n; ++i) refresh_flat_node(i);
     return;
   }
 
@@ -265,23 +221,15 @@ void DecisionTree::append_incremental(const FeatureMatrix& fm,
   double sum = 0.0;
   for (double v : gather_y_) sum += v;
   const double mean = sum / static_cast<double>(m);
-  Node& nd = nodes_[static_cast<std::size_t>(leaf)];
-  nd.value = static_cast<float>(mean);
+  node_value_[li] = static_cast<float>(mean);
   if (options_.leaf_variance) {
     double sq = 0.0;
     for (double v : gather_y_) {
       const double d = v - mean;
       sq += d * d;
     }
-    nd.variance = static_cast<float>(sq / static_cast<double>(m));
+    node_variance_[li] = static_cast<float>(sq / static_cast<double>(m));
   }
-  // Patch, don't rebuild: only this leaf's (value, variance) changed, and
-  // neither lives in the packed routing words — an O(1) mirror update.
-  // (A full rebuild_flat() here costs O(nodes) on *every* fantasy append
-  // and measurably regressed incremental multi-constraint decisions; the
-  // rare re-split path above still rebuilds, since it rewires topology.)
-  flat_value_[static_cast<std::size_t>(leaf)] = nd.value;
-  flat_variance_[static_cast<std::size_t>(leaf)] = nd.variance;
 }
 
 void DecisionTree::assign_fitted(const DecisionTree& src) {
@@ -293,7 +241,10 @@ void DecisionTree::assign_fitted(const DecisionTree& src) {
     inc_base_ = src.inc_base_ != 0 ? src.inc_base_ : src.inc_rows_.size();
     reserve_incremental(inc_base_);
   }
-  nodes_.assign(src.nodes_.begin(), src.nodes_.end());
+  node_fs_.assign(src.node_fs_.begin(), src.node_fs_.end());
+  node_lr_.assign(src.node_lr_.begin(), src.node_lr_.end());
+  node_value_.assign(src.node_value_.begin(), src.node_value_.end());
+  node_variance_.assign(src.node_variance_.begin(), src.node_variance_.end());
   depth_ = src.depth_;
   inc_rows_.assign(src.inc_rows_.begin(), src.inc_rows_.end());
   inc_y_.assign(src.inc_y_.begin(), src.inc_y_.end());
@@ -314,30 +265,6 @@ void DecisionTree::assign_fitted(const DecisionTree& src) {
   if (scratch_.feature_order.size() < src.scratch_.feature_order.size()) {
     scratch_.feature_order.resize(src.scratch_.feature_order.size());
   }
-  // The mirror is a pure function of nodes_, which was just copied verbatim
-  // — so copy the source's (always-current) mirror too instead of deriving
-  // it again. assign_fitted runs once per model clone inside every
-  // incremental lookahead branch, and the contiguous copies here are
-  // several times cheaper than rebuild_flat()'s per-node scalar loop.
-  // Reserve to the AoS capacity first so the mirror keeps matching nodes_'
-  // growth slack (the allocation-free steady-state guarantee).
-  const std::size_t cap = nodes_.capacity();
-  flat_feature_.reserve(cap);
-  flat_split_.reserve(cap);
-  flat_left_.reserve(cap);
-  flat_right_.reserve(cap);
-  flat_value_.reserve(cap);
-  flat_variance_.reserve(cap);
-  flat_fs_.reserve(cap);
-  flat_lr_.reserve(cap);
-  flat_feature_.assign(src.flat_feature_.begin(), src.flat_feature_.end());
-  flat_split_.assign(src.flat_split_.begin(), src.flat_split_.end());
-  flat_left_.assign(src.flat_left_.begin(), src.flat_left_.end());
-  flat_right_.assign(src.flat_right_.begin(), src.flat_right_.end());
-  flat_value_.assign(src.flat_value_.begin(), src.flat_value_.end());
-  flat_variance_.assign(src.flat_variance_.begin(), src.flat_variance_.end());
-  flat_fs_.assign(src.flat_fs_.begin(), src.flat_fs_.end());
-  flat_lr_.assign(src.flat_lr_.begin(), src.flat_lr_.end());
 }
 
 std::int32_t DecisionTree::build(BuildCtx& ctx, std::size_t begin,
@@ -346,31 +273,30 @@ std::int32_t DecisionTree::build(BuildCtx& ctx, std::size_t begin,
   const std::size_t n = end - begin;
   depth_ = std::max(depth_, depth);
 
-  // total_sum accumulates the targets in row order. For inner nodes the
-  // fused split scan below recomputes exactly this sum alongside the
-  // per-level statistics, so the standalone pass only runs for early
-  // leaves.
+  // total_sum accumulates the targets in row order: the early-leaf loop
+  // or the closed-form pre-pass below sums it, and for nodes of three or
+  // more configurations the fused split scan sums it again.
   double total_sum = 0.0;
 
-  auto make_leaf = [&](double node_mean) {
-    Node leaf;
-    leaf.value = static_cast<float>(node_mean);
+  auto make_leaf = [&] {
+    const double node_mean = total_sum / static_cast<double>(n);
+    float variance = 0.0F;
     if (options_.leaf_variance) {
       double sq = 0.0;
       for (std::size_t i = begin; i < end; ++i) {
         const double d = ctx.y[i] - node_mean;
         sq += d * d;
       }
-      leaf.variance = static_cast<float>(sq / static_cast<double>(n));
+      variance = static_cast<float>(sq / static_cast<double>(n));
     }
-    nodes_.push_back(leaf);
-    if (inc_enabled_) node_depth_.push_back(depth);
-    return static_cast<std::int32_t>(nodes_.size() - 1);
+    return push_node(kLeafFs, static_cast<float>(node_mean), variance, depth);
   };
 
+  const std::uint32_t* const idx = ctx.idx.data();
+  const double* const yv = ctx.y.data();
   if (n < options_.min_samples_split || depth >= options_.max_depth) {
-    for (std::size_t i = begin; i < end; ++i) total_sum += ctx.y[i];
-    return make_leaf(total_sum / static_cast<double>(n));
+    for (std::size_t i = begin; i < end; ++i) total_sum += yv[i];
+    return make_leaf();
   }
 
   // Choose the feature subset for this split (Weka RandomTree style).
@@ -387,13 +313,75 @@ std::int32_t DecisionTree::build(BuildCtx& ctx, std::size_t begin,
     }
   }
 
-  // Variance-reduction split search. Maximizing
-  //   S(split) = s_L^2/n_L + s_R^2/n_R
-  // is equivalent to minimizing the summed squared error of the two
-  // children, so no sum-of-squares accumulation is needed.
+  // Closed-form pre-pass (file comment, "Split search"): per-configuration
+  // (count, sum) of the first two distinct rows, stopping at a third.
+  const std::uint32_t a = idx[begin];
+  std::uint32_t b = a;
+  std::size_t n_a = 0;
+  std::size_t n_b = 0;
+  double s_a = 0.0;
+  double s_b = 0.0;
+  bool closed = true;
+  for (std::size_t i = begin; i < end; ++i) {
+    const std::uint32_t r = idx[i];
+    if (r == a) {
+      ++n_a;
+      s_a += yv[i];
+    } else if (r == b || n_b == 0) {
+      b = r;
+      ++n_b;
+      s_b += yv[i];
+    } else {
+      closed = false;
+      break;
+    }
+    total_sum += yv[i];
+  }
+  if (closed && n_b == 0) {  // one configuration: no threshold separates it
+    ++tally_.closed_one;
+    return make_leaf();
+  }
+  // Two configurations: on a feature where their codes differ, every
+  // threshold from the lower code up to (excluding) the higher one puts
+  // the lower-coded configuration alone on the left with the same score,
+  // and the scan keeps the first — the lower code. Each orientation has
+  // its own score: total_sum - s_a is not s_b in floating point.
+  double score_a = 0.0;
+  double score_b = 0.0;
+  if (closed) {
+    ++tally_.closed_two;
+    score_a = split_score(s_a, static_cast<double>(n_a), total_sum - s_a,
+                          static_cast<double>(n_b));
+    score_b = split_score(s_b, static_cast<double>(n_b), total_sum - s_b,
+                          static_cast<double>(n_a));
+  } else {
+    ++tally_.scanned;
+    total_sum = 0.0;  // the scan re-accumulates it
+  }
+
+  // Maximizing S(split) = s_L^2/n_L + s_R^2/n_R is equivalent to
+  // minimizing the summed squared error of the two children, so no
+  // sum-of-squares accumulation is needed.
   double best_score = -std::numeric_limits<double>::infinity();
-  std::int16_t best_feature = kLeaf;
+  std::int32_t best_feature = -1;
   std::uint16_t best_code = 0;
+
+  const std::uint16_t* const codes_a = fm.row_codes(a);
+  const std::uint16_t* const codes_b = fm.row_codes(b);
+  auto closed_features = [&](std::size_t from, std::size_t to) {
+    for (std::size_t k = from; k < to; ++k) {
+      const std::uint16_t f = ctx.feature_order[k];
+      const std::uint16_t ca = codes_a[f];
+      const std::uint16_t cb = codes_b[f];
+      if (ca == cb) continue;
+      const double score = ca < cb ? score_a : score_b;
+      if (score > best_score) {
+        best_score = score;
+        best_feature = f;
+        best_code = std::min(ca, cb);
+      }
+    }
+  };
 
   // Fused multi-feature statistics: one pass over the rows accumulates
   // (count, sum) per level for every candidate feature at once — the row's
@@ -403,8 +391,6 @@ std::int32_t DecisionTree::build(BuildCtx& ctx, std::size_t begin,
   // per-feature scan, and the threshold sweep evaluates candidates in the
   // same (feature, code) order.
   const std::size_t stride = fm.max_level_count();
-  const std::uint32_t* const idx = ctx.idx.data();
-  const double* const yv = ctx.y.data();
   auto scan_chunk = [&](std::size_t from, std::size_t to,
                         bool accumulate_total) {
     const std::size_t nf = to - from;
@@ -441,13 +427,12 @@ std::int32_t DecisionTree::build(BuildCtx& ctx, std::size_t begin,
         n_left += cntk[k][c];
         s_left += sumk[k][c];
         if (n_left == 0 || n_left == n) continue;
-        const auto n_right = static_cast<double>(n - n_left);
-        const double s_right = total_sum - s_left;
-        const double score = s_left * s_left / static_cast<double>(n_left) +
-                             s_right * s_right / n_right;
+        const double score =
+            split_score(s_left, static_cast<double>(n_left),
+                        total_sum - s_left, static_cast<double>(n - n_left));
         if (score > best_score) {
           best_score = score;
-          best_feature = static_cast<std::int16_t>(sel[k]);
+          best_feature = sel[k];
           best_code = c;
         }
       }
@@ -455,26 +440,28 @@ std::int32_t DecisionTree::build(BuildCtx& ctx, std::size_t begin,
   };
   // Candidate features are evaluated in feature_order sequence either way;
   // chunking only bounds the stack arrays for very wide spaces.
-  auto scan_features = [&](std::size_t from, std::size_t to,
-                           bool accumulate_total) {
+  auto search = [&](std::size_t from, std::size_t to, bool first) {
+    if (closed) {
+      closed_features(from, to);
+      return;
+    }
     for (std::size_t at = from; at < to; at += kMaxFeatures) {
-      scan_chunk(at, std::min(to, at + kMaxFeatures),
-                 accumulate_total && at == from);
+      scan_chunk(at, std::min(to, at + kMaxFeatures), first && at == from);
     }
   };
 
-  scan_features(0, feature_count, /*accumulate_total=*/true);
+  search(0, feature_count, /*first=*/true);
   const double parent_score = total_sum * total_sum / static_cast<double>(n);
   // If the random subset offered no informative split (all its features
   // constant on this node, or no gain), fall back to the remaining
   // features before giving up — otherwise a 1-feature subset would
   // regularly truncate the tree at nodes other features could still split.
   if (best_score <= parent_score + 1e-12 && feature_count < fm.cols()) {
-    scan_features(feature_count, fm.cols(), /*accumulate_total=*/false);
+    search(feature_count, fm.cols(), /*first=*/false);
   }
 
-  if (best_feature == kLeaf || best_score <= parent_score + 1e-12) {
-    return make_leaf(total_sum / static_cast<double>(n));
+  if (best_feature < 0 || best_score <= parent_score + 1e-12) {
+    return make_leaf();
   }
 
   // In-place partition of the parallel arrays.
@@ -488,47 +475,32 @@ std::int32_t DecisionTree::build(BuildCtx& ctx, std::size_t begin,
     }
   }
 
-  const auto self = static_cast<std::int32_t>(nodes_.size());
-  nodes_.emplace_back();
-  if (inc_enabled_) node_depth_.push_back(depth);
-  nodes_[self].feature = best_feature;
-  nodes_[self].split_code = best_code;
+  const std::int32_t self = push_node(
+      (static_cast<std::uint32_t>(best_feature) << 16) | best_code, 0.0F,
+      0.0F, depth);
   const std::int32_t left = build(ctx, begin, mid, depth + 1);
   const std::int32_t right = build(ctx, mid, end, depth + 1);
-  nodes_[self].left = left;
-  nodes_[self].right = right;
+  node_lr_[static_cast<std::size_t>(self)] =
+      static_cast<std::uint32_t>(left) |
+      (std::uint64_t{static_cast<std::uint32_t>(right)} << 32);
   return self;
 }
 
 double DecisionTree::predict(const FeatureMatrix& fm,
                              std::uint32_t row) const {
-  if (nodes_.empty()) {
+  if (!fitted()) {
     throw std::logic_error("DecisionTree::predict: not fitted");
   }
-  std::int32_t node = 0;
-  while (nodes_[static_cast<std::size_t>(node)].feature != kLeaf) {
-    const Node& nd = nodes_[static_cast<std::size_t>(node)];
-    node = fm.code(row, static_cast<std::size_t>(nd.feature)) <= nd.split_code
-               ? nd.left
-               : nd.right;
-  }
-  return nodes_[static_cast<std::size_t>(node)].value;
+  return node_value_[static_cast<std::size_t>(find_leaf(fm, row))];
 }
 
 DecisionTree::LeafStats DecisionTree::predict_stats(const FeatureMatrix& fm,
                                                     std::uint32_t row) const {
-  if (nodes_.empty()) {
+  if (!fitted()) {
     throw std::logic_error("DecisionTree::predict_stats: not fitted");
   }
-  std::int32_t node = 0;
-  while (nodes_[static_cast<std::size_t>(node)].feature != kLeaf) {
-    const Node& nd = nodes_[static_cast<std::size_t>(node)];
-    node = fm.code(row, static_cast<std::size_t>(nd.feature)) <= nd.split_code
-               ? nd.left
-               : nd.right;
-  }
-  const Node& leaf = nodes_[static_cast<std::size_t>(node)];
-  return {leaf.value, leaf.variance};
+  const auto leaf = static_cast<std::size_t>(find_leaf(fm, row));
+  return {node_value_[leaf], node_variance_[leaf]};
 }
 
 template <class LeafFn>
@@ -593,7 +565,7 @@ bool DecisionTree::dense_walk(const FeatureMatrix& fm,
     const auto side = static_cast<std::uint32_t>(e & 1);
     const std::uint64_t* m = slot(depth, side);
     const auto ni = static_cast<std::size_t>(node);
-    if (flat_left_[ni] == node) {  // leaf (self-loop)
+    if (is_leaf(ni)) {
       for (std::size_t w = 0; w < words; ++w) {
         std::uint64_t bits = m[w];
         while (bits != 0) {
@@ -605,9 +577,9 @@ bool DecisionTree::dense_walk(const FeatureMatrix& fm,
       }
       continue;
     }
+    const std::uint32_t fs = node_fs_[ni];
     const std::uint64_t* fmask =
-        fm.level_mask(static_cast<std::size_t>(flat_feature_[ni]),
-                      static_cast<std::uint16_t>(flat_split_[ni]));
+        fm.level_mask(fs >> 16, static_cast<std::uint16_t>(fs & 0xFFFF));
     std::uint64_t* lm = slot(depth + 1, 0);
     std::uint64_t* rm = slot(depth + 1, 1);
     std::uint64_t left_any = 0;
@@ -620,11 +592,14 @@ bool DecisionTree::dense_walk(const FeatureMatrix& fm,
       left_any |= left;
       right_any |= right;
     }
+    const std::uint64_t lr = node_lr_[ni];
     if (right_any != 0) {
-      s.stack.push_back(encode(flat_right_[ni], depth + 1, 1));
+      s.stack.push_back(
+          encode(static_cast<std::int32_t>(lr >> 32), depth + 1, 1));
     }
     if (left_any != 0) {
-      s.stack.push_back(encode(flat_left_[ni], depth + 1, 0));
+      s.stack.push_back(
+          encode(static_cast<std::int32_t>(lr & 0xFFFFFFFF), depth + 1, 0));
     }
   }
   return true;
@@ -638,23 +613,28 @@ static bool lynceus_avx2_supported() noexcept {
 }
 
 /// The level-sync routing loop with explicit AVX2 gathers — 8 rows per
-/// step, one compare/blend per row per level. Routing is pure integer
-/// work, so the landed leaves (and every float read from them) are
-/// bitwise identical to the scalar sweep. Compiled via the `target`
-/// attribute so the rest of this TU stays baseline-ISA; callers must
-/// check lynceus_avx2_supported() first.
+/// step, one compare/blend per row per level. The packed routing words
+/// are gathered as 32-bit lanes: `fs` once (feature and threshold are its
+/// halves), `lr` at even and odd lane indices (left and right child).
+/// Routing is pure integer work, so the landed leaves (and every float
+/// read from them) are bitwise identical to the scalar sweep. Compiled
+/// via the `target` attribute so the rest of this TU stays baseline-ISA;
+/// callers must check lynceus_avx2_supported() first.
 __attribute__((target("avx2"))) static void route_levels_avx2(
     const std::uint16_t* codes, const std::uint32_t* row_base, std::size_t n,
-    unsigned depth, const std::int32_t* feat, const std::int32_t* split,
-    const std::int32_t* left, const std::int32_t* right, std::int32_t* cur) {
+    unsigned depth, const std::uint32_t* fs, const std::uint64_t* lr,
+    std::int32_t* cur) {
   const __m256i mask16 = _mm256_set1_epi32(0xFFFF);
+  const int* fs32 = reinterpret_cast<const int*>(fs);
+  const int* lr32 = reinterpret_cast<const int*>(lr);
   for (unsigned d = 0; d < depth; ++d) {
     std::size_t i = 0;
     for (; i + 8 <= n; i += 8) {
       const __m256i vcur =
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cur + i));
-      const __m256i vfeat = _mm256_i32gather_epi32(feat, vcur, 4);
-      const __m256i vsplit = _mm256_i32gather_epi32(split, vcur, 4);
+      const __m256i vfs = _mm256_i32gather_epi32(fs32, vcur, 4);
+      const __m256i vfeat = _mm256_srli_epi32(vfs, 16);
+      const __m256i vsplit = _mm256_and_si256(vfs, mask16);
       const __m256i vbase =
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row_base + i));
       // 32-bit gather at a 16-bit stride reads one code plus two padding
@@ -664,8 +644,9 @@ __attribute__((target("avx2"))) static void route_levels_avx2(
           _mm256_i32gather_epi32(reinterpret_cast<const int*>(codes),
                                  _mm256_add_epi32(vbase, vfeat), 2),
           mask16);
-      const __m256i vleft = _mm256_i32gather_epi32(left, vcur, 4);
-      const __m256i vright = _mm256_i32gather_epi32(right, vcur, 4);
+      const __m256i vlr = _mm256_add_epi32(vcur, vcur);
+      const __m256i vleft = _mm256_i32gather_epi32(lr32, vlr, 4);
+      const __m256i vright = _mm256_i32gather_epi32(lr32 + 1, vlr, 4);
       // Go right iff code > split; both fit in 16 bits, so the signed
       // 32-bit compare is exact. A leaf's 0xFFFF threshold never
       // compares less than a code, keeping self-loops parked.
@@ -674,10 +655,11 @@ __attribute__((target("avx2"))) static void route_levels_avx2(
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(cur + i), vnext);
     }
     for (; i < n; ++i) {
-      const std::int32_t nd = cur[i];
-      const std::int32_t c =
-          codes[row_base[i] + static_cast<std::uint32_t>(feat[nd])];
-      cur[i] = c <= split[nd] ? left[nd] : right[nd];
+      const std::uint32_t f = fs[cur[i]];
+      const std::uint64_t ch = lr[cur[i]];
+      const std::uint32_t c = codes[row_base[i] + (f >> 16)];
+      cur[i] = static_cast<std::int32_t>(c <= (f & 0xFFFF) ? (ch & 0xFFFFFFFF)
+                                                           : (ch >> 32));
     }
   }
 }
@@ -723,9 +705,8 @@ void DecisionTree::route_level_sync(const FeatureMatrix& fm,
       rb[i] = static_cast<std::uint32_t>(
           (rows != nullptr ? rows[i] : i) * cols);
     }
-    route_levels_avx2(codes, rb, n, depth_, flat_feature_.data(),
-                      flat_split_.data(), flat_left_.data(),
-                      flat_right_.data(), cur);
+    route_levels_avx2(codes, rb, n, depth_, node_fs_.data(),
+                      node_lr_.data(), cur);
     return;
   }
 #endif
@@ -734,8 +715,8 @@ void DecisionTree::route_level_sync(const FeatureMatrix& fm,
   // 32-bit feature+split load, one 64-bit children load) because the
   // sweep is load-port bound; level 0 is peeled since every row starts
   // at the root, whose fields are loop constants.
-  const std::uint32_t* fs = flat_fs_.data();
-  const std::uint64_t* lr = flat_lr_.data();
+  const std::uint32_t* fs = node_fs_.data();
+  const std::uint64_t* lr = node_lr_.data();
   const std::int32_t f0 = static_cast<std::int32_t>(fs[0] >> 16);
   const std::int32_t s0 = static_cast<std::int32_t>(fs[0] & 0xFFFF);
   const std::int32_t l0 = static_cast<std::int32_t>(lr[0] & 0xFFFFFFFF);
@@ -786,7 +767,7 @@ void DecisionTree::predict_batch(const FeatureMatrix& fm,
                                  const std::uint32_t* rows, std::size_t n,
                                  float* out_value, float* out_variance,
                                  PredictScratch* scratch) const {
-  if (nodes_.empty()) {
+  if (!fitted()) {
     throw std::logic_error("DecisionTree::predict_batch: not fitted");
   }
   if (n == 0) return;
@@ -797,19 +778,19 @@ void DecisionTree::predict_batch(const FeatureMatrix& fm,
       out_variance != nullptr
           ? dense_walk(fm, rows, n, s,
                        [&](std::uint32_t pos, std::size_t nd) {
-                         out_value[pos] = flat_value_[nd];
-                         out_variance[pos] = flat_variance_[nd];
+                         out_value[pos] = node_value_[nd];
+                         out_variance[pos] = node_variance_[nd];
                        })
           : dense_walk(fm, rows, n, s,
                        [&](std::uint32_t pos, std::size_t nd) {
-                         out_value[pos] = flat_value_[nd];
+                         out_value[pos] = node_value_[nd];
                        });
   if (dense) return;
   route_level_sync(fm, rows, n, s);
   const std::int32_t* cur = s.cur.data();
-  const float* value = flat_value_.data();
+  const float* value = node_value_.data();
   if (out_variance != nullptr) {
-    const float* variance = flat_variance_.data();
+    const float* variance = node_variance_.data();
     for (std::size_t i = 0; i < n; ++i) {
       out_value[i] = value[cur[i]];
       out_variance[i] = variance[cur[i]];
@@ -824,7 +805,7 @@ void DecisionTree::accumulate_batch(const FeatureMatrix& fm,
                                     double* sum, double* sumsq,
                                     double* var_sum,
                                     PredictScratch* scratch) const {
-  if (nodes_.empty()) {
+  if (!fitted()) {
     throw std::logic_error("DecisionTree::accumulate_batch: not fitted");
   }
   if (n == 0) return;
@@ -835,14 +816,14 @@ void DecisionTree::accumulate_batch(const FeatureMatrix& fm,
       var_sum != nullptr
           ? dense_walk(fm, rows, n, s,
                        [&](std::uint32_t pos, std::size_t nd) {
-                         const double v = flat_value_[nd];
+                         const double v = node_value_[nd];
                          sum[pos] += v;
                          sumsq[pos] += v * v;
-                         var_sum[pos] += flat_variance_[nd];
+                         var_sum[pos] += node_variance_[nd];
                        })
           : dense_walk(fm, rows, n, s,
                        [&](std::uint32_t pos, std::size_t nd) {
-                         const double v = flat_value_[nd];
+                         const double v = node_value_[nd];
                          sum[pos] += v;
                          sumsq[pos] += v * v;
                        });
@@ -851,9 +832,9 @@ void DecisionTree::accumulate_batch(const FeatureMatrix& fm,
   // Accumulate straight from the flat leaf arrays — same float source,
   // same per-row order as the scalar loop, no intermediate buffers.
   const std::int32_t* cur = s.cur.data();
-  const float* value = flat_value_.data();
+  const float* value = node_value_.data();
   if (var_sum != nullptr) {
-    const float* variance = flat_variance_.data();
+    const float* variance = node_variance_.data();
     for (std::size_t i = 0; i < n; ++i) {
       const double v = value[cur[i]];
       sum[i] += v;
@@ -873,31 +854,41 @@ void DecisionTree::save_state(util::JsonWriter& w) const {
   if (!fitted()) {
     throw std::logic_error("DecisionTree::save_state: not fitted");
   }
+  // Leaves serialize as left = right = feature = -1, split 0.
+  const std::size_t n = node_count();
   w.begin_object();
   w.key("depth").value(static_cast<std::uint64_t>(depth_));
   w.key("left").begin_array();
-  for (const Node& n : nodes_) w.value(static_cast<std::int64_t>(n.left));
+  for (std::size_t i = 0; i < n; ++i) {
+    w.value(is_leaf(i) ? std::int64_t{-1}
+                       : static_cast<std::int64_t>(node_lr_[i] & 0xFFFFFFFF));
+  }
   w.end_array();
   w.key("right").begin_array();
-  for (const Node& n : nodes_) w.value(static_cast<std::int64_t>(n.right));
+  for (std::size_t i = 0; i < n; ++i) {
+    w.value(is_leaf(i) ? std::int64_t{-1}
+                       : static_cast<std::int64_t>(node_lr_[i] >> 32));
+  }
   w.end_array();
   w.key("feature").begin_array();
-  for (const Node& n : nodes_) w.value(static_cast<std::int64_t>(n.feature));
+  for (std::size_t i = 0; i < n; ++i) {
+    w.value(is_leaf(i) ? std::int64_t{-1}
+                       : static_cast<std::int64_t>(node_fs_[i] >> 16));
+  }
   w.end_array();
   w.key("split").begin_array();
-  for (const Node& n : nodes_) {
-    w.value(static_cast<std::uint64_t>(n.split_code));
+  for (std::size_t i = 0; i < n; ++i) {
+    w.value(is_leaf(i) ? std::uint64_t{0}
+                       : static_cast<std::uint64_t>(node_fs_[i] & 0xFFFF));
   }
   w.end_array();
   // float → double is exact; value_exact round-trips the double, and the
   // load-side narrowing back to float recovers the original bit pattern.
   w.key("value").begin_array();
-  for (const Node& n : nodes_) w.value_exact(static_cast<double>(n.value));
+  for (float v : node_value_) w.value_exact(static_cast<double>(v));
   w.end_array();
   w.key("variance").begin_array();
-  for (const Node& n : nodes_) {
-    w.value_exact(static_cast<double>(n.variance));
-  }
+  for (float v : node_variance_) w.value_exact(static_cast<double>(v));
   w.end_array();
   w.key("inc").begin_object();
   w.key("enabled").value(inc_enabled_);
@@ -934,24 +925,35 @@ void DecisionTree::load_state(const util::JsonValue& v) {
     throw std::runtime_error(
         "DecisionTree::load_state: inconsistent node arrays");
   }
-  nodes_.clear();
-  nodes_.reserve(n);
+  node_fs_.clear();
+  node_lr_.clear();
+  node_value_.clear();
+  node_variance_.clear();
+  reserve_nodes(n);
   for (std::size_t i = 0; i < n; ++i) {
-    Node node;
-    node.left = static_cast<std::int32_t>(left.at(i).as_int());
-    node.right = static_cast<std::int32_t>(right.at(i).as_int());
-    node.feature = static_cast<std::int16_t>(feature.at(i).as_int());
-    node.split_code = static_cast<std::uint16_t>(split.at(i).as_uint());
-    node.value = static_cast<float>(value.at(i).as_double());
-    node.variance = static_cast<float>(variance.at(i).as_double());
-    if (node.feature != kLeaf &&
-        (node.left < 0 || node.right < 0 ||
-         node.left >= static_cast<std::int32_t>(n) ||
-         node.right >= static_cast<std::int32_t>(n))) {
+    const std::int64_t f = feature.at(i).as_int();
+    const std::uint64_t code = split.at(i).as_uint();
+    const auto self = static_cast<std::int64_t>(i);
+    if (f < -1 || f > 0x7FFF || code > 0xFFFF) {
+      throw std::runtime_error(
+          "DecisionTree::load_state: feature or split out of range");
+    }
+    // Children always follow their parent (build appends them after it),
+    // which also guarantees every descent ends at a leaf.
+    const std::int64_t l = f < 0 ? self : left.at(i).as_int();
+    const std::int64_t r = f < 0 ? self : right.at(i).as_int();
+    if (f >= 0 && (l <= self || r <= self || l >= static_cast<std::int64_t>(n) ||
+                   r >= static_cast<std::int64_t>(n))) {
       throw std::runtime_error(
           "DecisionTree::load_state: child index out of range");
     }
-    nodes_.push_back(node);
+    node_fs_.push_back(f < 0 ? kLeafFs
+                             : (static_cast<std::uint32_t>(f) << 16) |
+                                   static_cast<std::uint32_t>(code));
+    node_lr_.push_back(static_cast<std::uint32_t>(l) |
+                       (static_cast<std::uint64_t>(r) << 32));
+    node_value_.push_back(static_cast<float>(value.at(i).as_double()));
+    node_variance_.push_back(static_cast<float>(variance.at(i).as_double()));
   }
   depth_ = static_cast<unsigned>(v.at("depth").as_uint());
 
@@ -980,7 +982,7 @@ void DecisionTree::load_state(const util::JsonValue& v) {
     throw std::runtime_error(
         "DecisionTree::load_state: inconsistent membership arrays");
   }
-  if (!node_depth_.empty() && node_depth_.size() != nodes_.size()) {
+  if (!node_depth_.empty() && node_depth_.size() != n) {
     throw std::runtime_error(
         "DecisionTree::load_state: node_depth/nodes mismatch");
   }
@@ -990,7 +992,6 @@ void DecisionTree::load_state(const util::JsonValue& v) {
     if (inc_base_ == 0) inc_base_ = inc_rows_.size();
     if (inc_base_ > 0) reserve_incremental(inc_base_);
   }
-  rebuild_flat();
 }
 
 }  // namespace lynceus::model

@@ -8,7 +8,9 @@
 /// trees"). "Random" follows the Weka RandomTree convention: at every split
 /// a random subset of features is considered.
 ///
-/// Split search exploits the discreteness of the configuration space: for
+/// Split search
+/// ------------
+/// The search exploits the discreteness of the configuration space: for
 /// each candidate feature, per-level (count, sum) statistics are
 /// accumulated in one pass and every threshold between adjacent levels is
 /// scored by variance reduction — O(n·d + levels·d) per node, no sorting.
@@ -18,16 +20,39 @@
 /// reused across refits, so a refit at steady state performs no heap
 /// allocation.
 ///
-/// Batched prediction: flat-layout determinism contract
-/// -----------------------------------------------------
-/// A fitted tree maintains a structure-of-arrays mirror of its nodes —
-/// contiguous feature / threshold-code / left-child / right-child /
-/// leaf-value / leaf-variance arrays — in which leaves *self-loop*
-/// (left == right == self, threshold == 0xFFFF), so batch routing is a
-/// branch-free level-synchronous sweep: every row advances one level per
-/// pass, rows already at a leaf spin in place, and after depth() passes
-/// each row sits at exactly the leaf the scalar predict() descent reaches.
-/// predict_batch()/accumulate_batch() use two routes over those arrays:
+/// Most nodes of a small-history tree hold only one or two distinct
+/// configurations (rows), and those close without the histogram scan, in
+/// closed forms equal to the scan bit for bit. The check runs after the
+/// node's feature-subset draws, so the rng stream is the scan's too:
+///   * one configuration: no threshold separates it — a leaf whose mean is
+///     the row-order target sum over n;
+///   * two configurations a and b: one row-order pass yields total_sum and
+///     (n_a, s_a), (n_b, s_b). On a feature where their codes differ, every
+///     threshold from the lower code up to the higher one isolates the
+///     lower-coded configuration on the left with the same score, and the
+///     scan keeps the first: split_code is the lower code. The score
+///     depends on which configuration is on the left, and the two
+///     orientations need their own scores, s_a²/n_a + (total_sum-s_a)²/n_b
+///     and s_b²/n_b + (total_sum-s_b)²/n_a: total_sum - s_a is not s_b in
+///     floating point, so one shared score would move trees. Features are
+///     walked in the scan's order, the first strictly better score wins,
+///     and the fallback to the unsampled features runs under the same
+///     no-gain condition as the scan's;
+///   * three or more configurations: the scan.
+/// tests/tree_fit_reference.hpp keeps the plain scan as the oracle.
+///
+/// Node layout and batched prediction
+/// ----------------------------------
+/// Nodes live in one structure-of-arrays layout: a packed routing word
+/// `fs` = (feature << 16) | threshold code, a packed child word `lr` =
+/// left | (right << 32), and the leaf value and variance. Leaves
+/// *self-loop* (left == right == self, threshold == 0xFFFF), so batch
+/// routing is a branch-free level-synchronous sweep: every row advances
+/// one level per pass, rows already at a leaf spin in place, and after
+/// depth() passes each row sits at exactly the leaf the scalar predict()
+/// descent reaches. Building, serialization, incremental appends and the
+/// scalar descent all use the same arrays. predict_batch() and
+/// accumulate_batch() use two routes:
 ///   * a dense level-mask walk (batch covers most of the space and the
 ///     FeatureMatrix has precomputed level masks) that intersects row
 ///     bitmasks per split, and
@@ -35,6 +60,8 @@
 ///     mask-less spaces), whose per-row compare/route loop the compiler
 ///     auto-vectorizes (explicit AVX2 gathers behind LYNCEUS_SIMD, with a
 ///     runtime CPU check; identical integer routing either way).
+/// The scalar sweep is load-port bound, so the packed words matter: one
+/// 32-bit and one 64-bit load per row per level.
 ///
 /// What is bit-pinned: the leaf each row lands in, the float leaf
 /// value/variance read from it, and the per-row accumulation order of
@@ -42,13 +69,6 @@
 /// predict_stats() path, across routes, build flags and toolchains (the
 /// routing is pure integer compare/select; no FP reassociation anywhere).
 /// Callers may mix scalar and batch entry points freely.
-///
-/// When the flat layout is rebuilt: at the end of fit(), load_state() and
-/// assign_fitted(), and after every append_incremental() (appends mutate
-/// the node array in place, so the mirror is refreshed from it; capacity
-/// is pre-reserved by the incremental reservation, keeping appends
-/// allocation-free). The AoS node array remains the single source of
-/// truth for building, serialization and the scalar descent.
 ///
 /// Scratch ownership: batch entry points take a caller-owned
 /// PredictScratch (BaggingEnsemble owns one per predict chunk); passing
@@ -127,7 +147,7 @@ class DecisionTree {
   [[nodiscard]] LeafStats predict_stats(const FeatureMatrix& fm,
                                         std::uint32_t row) const;
 
-  /// Batched leaf lookup over the flat layout (see file comment). For
+  /// Batched leaf lookup over the node arrays (see file comment). For
   /// each i in [0, n): writes the leaf mean of row `rows[i]` to
   /// `out_value[i]` and, when `out_variance` is non-null, the leaf
   /// variance to `out_variance[i]`. `rows == nullptr` means the identity
@@ -165,7 +185,7 @@ class DecisionTree {
   /// True when the tree holds captured membership (fitted while capture
   /// was on), i.e. append_incremental() may be called.
   [[nodiscard]] bool has_membership() const noexcept {
-    return !inc_rows_.empty() && node_depth_.size() == nodes_.size();
+    return !inc_rows_.empty() && node_depth_.size() == node_count();
   }
 
   /// Appends one training sample to the captured membership and updates
@@ -200,28 +220,29 @@ class DecisionTree {
   /// Throws std::runtime_error on a malformed or inconsistent state.
   void load_state(const util::JsonValue& v);
 
-  [[nodiscard]] bool fitted() const noexcept { return !nodes_.empty(); }
+  [[nodiscard]] bool fitted() const noexcept { return !node_lr_.empty(); }
   [[nodiscard]] std::size_t node_count() const noexcept {
-    return nodes_.size();
+    return node_lr_.size();
   }
   [[nodiscard]] unsigned depth() const noexcept { return depth_; }
+
+  /// How the split search closed the nodes it visited since the last
+  /// fit() (file comment, "Split search"): leaves of early-stop nodes are
+  /// not counted.
+  struct SplitTally {
+    std::uint32_t closed_one = 0;  ///< one configuration: leaf, no scan
+    std::uint32_t closed_two = 0;  ///< two configurations: closed form
+    std::uint32_t scanned = 0;     ///< three or more: histogram scan
+  };
+  [[nodiscard]] const SplitTally& split_tally() const noexcept {
+    return tally_;
+  }
 
   [[nodiscard]] const TreeOptions& options() const noexcept {
     return options_;
   }
 
  private:
-  /// Compact node: leaves have `feature == kLeaf`.
-  struct Node {
-    std::int32_t left = -1;   ///< index of the <=-side child
-    std::int32_t right = -1;  ///< index of the >-side child
-    std::int16_t feature = kLeaf;
-    std::uint16_t split_code = 0;  ///< go left iff code(row) <= split_code
-    float value = 0.0F;            ///< leaf mean (valid for leaves)
-    float variance = 0.0F;         ///< leaf target variance (leaves only)
-  };
-  static constexpr std::int16_t kLeaf = -1;
-
   /// Fit-time scratch, owned by the tree so consecutive refits (the
   /// lookahead engine refits thousands of times per decision) reuse the
   /// buffers instead of reallocating them.
@@ -237,7 +258,7 @@ class DecisionTree {
   std::int32_t build(BuildCtx& ctx, std::size_t begin, std::size_t end,
                      unsigned depth);
 
-  /// Dense batch path: routes the whole batch through the flat arrays as
+  /// Dense batch path: routes the whole batch through the node arrays as
   /// row bitmasks intersected with the FeatureMatrix's precomputed level
   /// masks (a split costs mask_words() word-ANDs instead of one comparison
   /// per row), invoking `leaf(batch_position, node_index)` for every
@@ -262,13 +283,14 @@ class DecisionTree {
   void route_level_sync(const FeatureMatrix& fm, const std::uint32_t* rows,
                         std::size_t n, PredictScratch& s) const;
 
-  /// Rebuilds the flat SoA mirror from `nodes_` (file comment, "When the
-  /// flat layout is rebuilt").
-  void rebuild_flat();
-  // Refreshes one slot of the flat mirror from nodes_[i] (routing fields,
-  // packed words, leaf statistics). rebuild_flat() is this over all nodes;
-  // append_incremental uses it to patch only the slots a re-split touched.
-  void refresh_flat_node(std::size_t i);
+  /// Appends a self-looped node (a leaf until a split node's children are
+  /// patched into node_lr_) and returns its index.
+  std::int32_t push_node(std::uint32_t fs, float value, float variance,
+                         unsigned depth);
+  void reserve_nodes(std::size_t n);
+  [[nodiscard]] bool is_leaf(std::size_t i) const noexcept {
+    return static_cast<std::uint32_t>(node_lr_[i]) == i;
+  }
 
   /// Leaf index reached by `row` (the scalar predict() descent).
   [[nodiscard]] std::int32_t find_leaf(const FeatureMatrix& fm,
@@ -279,27 +301,17 @@ class DecisionTree {
   void reserve_incremental(std::size_t base_samples);
 
   TreeOptions options_;
-  std::vector<Node> nodes_;
   unsigned depth_ = 0;
   FitScratch scratch_;
+  SplitTally tally_;
 
-  // Flat SoA mirror of `nodes_` (file comment). Leaves self-loop:
-  // flat_left_[i] == flat_right_[i] == i and flat_split_[i] == 0xFFFF, so
-  // the level-sync route needs no leaf test. 32-bit lanes throughout so
-  // the SIMD path gathers without width conversions.
-  std::vector<std::int32_t> flat_feature_;
-  std::vector<std::int32_t> flat_split_;
-  std::vector<std::int32_t> flat_left_;
-  std::vector<std::int32_t> flat_right_;
-  std::vector<float> flat_value_;
-  std::vector<float> flat_variance_;
-  // Packed duplicates of the four routing arrays, one load each instead
-  // of two: fs = (feature << 16) | split_code, lr = left | (right << 32).
-  // The scalar level-sync sweep is load-port bound, so halving its loads
-  // is what makes the sweep beat the per-row walk on tiny spaces (scout
-  // is 69 rows); the AVX2 kernel keeps gathering the unpacked arrays.
-  std::vector<std::uint32_t> flat_fs_;
-  std::vector<std::uint64_t> flat_lr_;
+  // The nodes (file comment, "Node layout"): fs = (feature << 16) |
+  // threshold code, lr = left | (right << 32); a leaf has lr == i | i << 32
+  // and fs == 0xFFFF. Split nodes carry value and variance 0.
+  std::vector<std::uint32_t> node_fs_;
+  std::vector<std::uint64_t> node_lr_;
+  std::vector<float> node_value_;
+  std::vector<float> node_variance_;
 
   bool inc_enabled_ = false;
   std::size_t inc_reserve_ = 0;

@@ -15,9 +15,9 @@
 /// the identical configuration sequence, and bench_micro measures the
 /// speedup of the engine over this path.
 ///
-/// Mirrors the single-constraint methodology of PR 1 (NaiveLynceus in
-/// tests/test_lookahead.cpp); lives in src/ rather than tests/ so the
-/// bench binaries can drive single reference decisions too.
+/// Mirrors the single-constraint methodology (NaiveLynceus in
+/// tests/lookahead_reference.hpp). Test-only; bench_micro includes it
+/// through the tests include path to time single reference decisions.
 
 #include <algorithm>
 #include <cmath>

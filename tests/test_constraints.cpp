@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/bo.hpp"
-#include "core/constraints_reference.hpp"
+#include "constraints_reference.hpp"
 #include "core/lookahead.hpp"
 #include "core/sequential.hpp"
 #include "eval/runner.hpp"

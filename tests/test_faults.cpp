@@ -101,7 +101,7 @@ TEST(FaultStepper, FailedTellRecordsFailureAndBlacklists) {
   }
 
   eval::TableRunner rest(ds);
-  core::drive(*stepper, rest);
+  (void)core::drive(*stepper, rest);  // result() is read below
   ASSERT_TRUE(stepper->finished());
   const OptimizerResult res = stepper->result();
 

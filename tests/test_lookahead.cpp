@@ -9,7 +9,7 @@
 
 #include "core/acquisition.hpp"
 #include "core/bo.hpp"
-#include "core/lookahead_reference.hpp"
+#include "lookahead_reference.hpp"
 #include "core/lynceus.hpp"
 #include "core/sequential.hpp"
 #include "eval/runner.hpp"
@@ -132,7 +132,7 @@ TEST_F(PredictSubset, TreeBatchMatchesScalarPredict) {
 // ---------------------------------------------------------------------------
 
 /// The naive copy-based decision loop now lives in
-/// core/lookahead_reference.hpp (mirroring constraints_reference.hpp) so
+/// tests/lookahead_reference.hpp (mirroring constraints_reference.hpp) so
 /// the differential incremental-refit suite and the benches can drive it
 /// too.
 using reference::NaiveLynceus;

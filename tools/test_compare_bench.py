@@ -19,7 +19,7 @@ import compare_bench  # noqa: E402
 
 
 def summary(spaces_p50=None, mc=None, inc=None, pooled=None, scaling=None,
-            svc=None, sscale=None, soa=None, net=None):
+            svc=None, sscale=None, soa=None, net=None, refit=None):
     """Builds a minimal BENCH_micro.json-shaped dict."""
     out = {"bench": "micro_decision", "unit": "ms"}
     out["spaces"] = [
@@ -38,7 +38,14 @@ def summary(spaces_p50=None, mc=None, inc=None, pooled=None, scaling=None,
     out["session_scaling"] = sscale or []
     out["soa_predict"] = soa or []
     out["net_throughput"] = net or []
+    out["branch_refit"] = refit or []
     return out
+
+
+def refit_entry(space="scout_0", history=14, fit_p50_us=20.0):
+    return {"space": space, "history": history, "fits": 2000,
+            "fit_p50_us": fit_p50_us, "closed_one_per_tree": 4.0,
+            "closed_two_per_tree": 3.4, "scanned_per_tree": 5.3}
 
 
 def net_entry(space="scout_0", sessions=64, clients=8, shards=2,
@@ -344,6 +351,31 @@ class CompareBenchTest(unittest.TestCase):
         base = summary(spaces_p50=entries)
         new = summary(spaces_p50=entries, soa=[soa_entry()])
         self.assertEqual(self.run_gate(base, new), 0)
+
+    def test_branch_refit_keys_on_space_and_history_in_ms(self):
+        flat, notes = compare_bench.load_entries(
+            summary(refit=[refit_entry(history=8, fit_p50_us=12.0),
+                           refit_entry(history=14, fit_p50_us=20.0),
+                           refit_entry(space="tensorflow_cnn",
+                                       fit_p50_us=31.0)]))
+        self.assertEqual(flat["refit/scout_0/h8"], 0.012)
+        self.assertEqual(flat["refit/scout_0/h14"], 0.02)
+        self.assertEqual(flat["refit/tensorflow_cnn/h14"], 0.031)
+        self.assertEqual(notes, [])
+
+    def test_branch_refit_regression_warns_under_the_noise_floor(self):
+        # A branch refit costs tens of microseconds: under the default
+        # 1 ms floor a regression warns, and with the floor lowered it
+        # fails like any other entry.
+        entries = {"tf": [(0, 2.0), (1, 5.0), (2, 20.0)]}
+        base = summary(spaces_p50=entries, refit=[refit_entry()])
+        new = summary(spaces_p50=entries,
+                      refit=[refit_entry(fit_p50_us=60.0)])
+        self.assertEqual(self.run_gate(base, new), 0)
+        self.assertEqual(
+            self.run_gate(base, new, ["--noise-floor-ms=0.001"]), 1)
+        self.assertEqual(
+            self.run_gate(base, base, ["--noise-floor-ms=0.001"]), 0)
 
     def test_no_common_entries_is_a_pass(self):
         base = summary(spaces_p50={"tf": [(0, 2.0)]})

@@ -195,6 +195,23 @@ class ScalingGateTest(unittest.TestCase):
             self.run_main({"decision_scaling": passing_decision_curve(),
                            "session_scaling": sessions}), 1)
 
+    def test_session_table_and_verdict_show_the_cores_granted(self):
+        top = sentry(3, 4000.0, speedup=1.3)
+        top["cores_granted"] = 1.1
+        top["probe_threads"] = 3
+        old = sentry(0, 3000.0)  # predates the probe: no key
+        table = scaling_gate.render_session_table([old, top])
+        self.assertIn("| cores granted |", table)
+        self.assertIn("| 1.30x | 1.1 of 3 |", table)
+        self.assertIn("| — | — |", table)
+        messages = []
+        rc = scaling_gate.gate_sessions([old, top], 64, 3.0,
+                                        out=messages.append)
+        # The probe explains a sub-bar curve; it does not move the bar.
+        self.assertEqual(rc, 1)
+        self.assertTrue(any("cores granted 1.1 of 3" in m
+                            for m in messages), messages)
+
     def test_net_throughput_rendered_next_to_session_scaling(self):
         # The TCP front-end curve is recorded in the job summary alongside
         # session_scaling (so in-process vs over-the-wire throughput read
